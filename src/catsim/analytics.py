@@ -10,7 +10,6 @@ kicks, and the exponential fit used to compare decay curves.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,9 @@ END_POPULATIONS = {"g": 0.80, "e": 0.12, "f": 0.08}
 
 # Philox stream index for the phase-kick Monte Carlo.
 KICK_STREAM = 5
+
+# Loss-free-history posterior a trial needs to stay in the decay ensemble.
+POSTERIOR_THRESHOLD = 0.20
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,6 @@ class DecayCurve:
 
     def __len__(self) -> int:
         return len(self.n)
-
-    @property
-    def points(self):
-        return list(zip(self.n.tolist(), self.fidelity.tolist(), self.stderr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -387,61 +385,6 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     return FitResult(float(popt[0]), float(popt[1]), float(popt[2]), pcov)
 
 
-def write_error_table_csv(events, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "probability", "delta_chi_hz", "t0_s", "t1_s", "dephasing"])
-        for e in events:
-            writer.writerow([
-                e.label,
-                repr(float(e.probability)),
-                repr(float(e.delta_chi)),
-                repr(float(e.window[0])),
-                repr(float(e.window[1])),
-                repr(float(e.dephasing_per_occurrence)),
-            ])
-
-
-def read_error_table_csv(path) -> list:
-    events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader)
-        if header[:6] != ["label", "probability", "delta_chi_hz", "t0_s", "t1_s", "dephasing"]:
-            raise ValueError(f"unexpected error-table header {header!r}")
-        for row in reader:
-            events.append(ErrorEventSpec(
-                row[0],
-                float(row[1]),
-                float(row[2]),
-                (float(row[3]), float(row[4])),
-                float(row[5]),
-            ))
-    return events
-
-
-def write_decay_csv(curve: DecayCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "fidelity", "stderr"])
-        for n, fidelity, stderr in curve.points:
-            writer.writerow([int(n), repr(float(fidelity)), repr(float(stderr))])
-
-
-def read_decay_csv(path) -> DecayCurve:
-    ns, fidelities, stderrs = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader)
-        if header[:3] != ["N", "fidelity", "stderr"]:
-            raise ValueError(f"unexpected decay header {header!r}")
-        for row in reader:
-            ns.append(int(row[0]))
-            fidelities.append(float(row[1]))
-            stderrs.append(float(row[2]))
-    return DecayCurve(np.array(ns), np.array(fidelities), np.array(stderrs))
-
-
 def trajectory_decay_curve(
     params: SystemParams,
     protocol: str,
@@ -450,14 +393,13 @@ def trajectory_decay_curve(
     seed: int = 0,
     alpha: float = DEFAULT_ALPHA,
     basis: CavityBasis | None = None,
-    posterior_threshold: float = 0.20,
     drive_mode: str = "effective",
 ):
     """Full-model cat fidelity versus number of parity rounds.
 
     Runs ``trials`` independent trajectory records of ``n_max`` rounds,
     then for every prefix length keeps the trials whose loss-free-history
-    posterior clears ``posterior_threshold``, aligns the surviving
+    posterior clears ``POSTERIOR_THRESHOLD``, aligns the surviving
     ensemble to the best rotated cat, and scores each kept trial against
     that one target.  The per-trial scores average to the ensemble
     fidelity exactly, and their scatter gives the standard error.
@@ -493,7 +435,7 @@ def trajectory_decay_curve(
     phases = np.arange(basis.dim)
     ns, fidelities, stderrs, kept = [], [], [], []
     for k in range(n_max):
-        keep = posteriors[:, k] >= posterior_threshold
+        keep = posteriors[:, k] >= POSTERIOR_THRESHOLD
         survivors = int(keep.sum())
         if survivors < 2:
             continue

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -31,12 +32,10 @@ from .analytics import (
     trajectory_decay_curve,
 )
 from .dynamics import chevron_map, measured_stark_shift, ramsey_t2
-from .hilbert import DEFAULT_ALPHA, CavityBasis, cat_state, joint_state
+from .hilbert import ANCILLA_LEVELS, DEFAULT_ALPHA, CavityBasis, cat_state, joint_state
 from .model import DriveSpec, SystemParams, cancellation_detuning, induced_chi
 from .protocols import InjectedError, parity_map, preparation_statistics
 from .tomography import aligned_cat_fidelity, square_grid, wigner_scan
-
-LEVELS = ("g", "e", "f", "h")
 
 # Internal evolution name for the hyphenated flag value.
 DRIVE_MODES = {"off": "effective", "effective": "effective", "time-dependent": "time_dependent"}
@@ -128,9 +127,9 @@ def _experiment_parity_once(args, params):
         theta, aligned = aligned_cat_fidelity(conditioned, DEFAULT_ALPHA, basis)
         data["injection"].append(name)
         data["at"].append(0.0 if name == "none" else at)
-        for label, weight in zip(LEVELS, weights):
+        for label, weight in zip(ANCILLA_LEVELS, weights):
             data[f"p_{label}"].append(float(weight))
-        data["conditioned_on"].append(LEVELS[level])
+        data["conditioned_on"].append(ANCILLA_LEVELS[level])
         data["fidelity"].append(float(np.abs(np.vdot(cat, conditioned)) ** 2))
         data["aligned_fidelity"].append(aligned)
         data["aligned_theta"].append(theta)
@@ -263,22 +262,30 @@ def _plain(value):
 
 
 def _write_output(path, fmt, meta, data) -> None:
-    if fmt == "json":
-        text = json.dumps(
-            {"meta": meta, "data": data},
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# meta: " + json.dumps(meta, sort_keys=True, allow_nan=False) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(data.keys())
-        for row in zip(*data.values()):
-            writer.writerow("" if item is None else item for item in row)
+    """Write to a temporary file beside ``path``, then rename it into place."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+            if fmt == "json":
+                text = json.dumps(
+                    {"meta": meta, "data": data},
+                    indent=2,
+                    sort_keys=True,
+                    allow_nan=False,
+                )
+                fh.write(text + "\n")
+            else:
+                fh.write("# meta: " + json.dumps(meta, sort_keys=True, allow_nan=False) + "\n")
+                writer = csv.writer(fh)
+                writer.writerow(data.keys())
+                for row in zip(*data.values()):
+                    writer.writerow("" if item is None else item for item in row)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def run(argv) -> int:

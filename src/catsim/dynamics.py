@@ -33,7 +33,6 @@ __all__ = [
     "chevron_map",
     "evolve_master",
     "evolve_unitary",
-    "evolve_with_injected_error",
     "liouvillian",
     "master_propagator",
     "measured_stark_shift",
@@ -48,6 +47,9 @@ __all__ = [
 SUPEROP_DIM_LIMIT = 32
 
 POSITIVITY_FLOOR = -1e-5
+
+# Fock dimension of the Ramsey probe: the 0-1 superposition plus headroom.
+RAMSEY_CAVITY_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -65,20 +67,15 @@ class TrajectoryResult:
 
 
 def trajectory_rng(seed: int, protocol_index: int = 0, trial_index: int = 0):
-    """Counter-based generator giving independent streams per (protocol, trial)."""
+    """Counter-based generator giving independent streams per (protocol, trial).
+
+    Each index fills 32 bits of the key, so it must lie in [0, 2**32).
+    """
+    for name, index in (("protocol", protocol_index), ("trial", trial_index)):
+        if not 0 <= int(index) < 2**32:
+            raise ValueError(f"{name} index {index} outside [0, 2**32)")
     key = (int(protocol_index) << 32) | int(trial_index)
     return np.random.Generator(np.random.Philox(key=[int(seed), key]))
-
-
-def _abs2(vec: np.ndarray) -> np.ndarray:
-    return (vec.conj() * vec).real
-
-
-def _exact_diagonal(mat: np.ndarray):
-    diag = np.diagonal(mat)
-    if np.count_nonzero(mat - np.diag(diag)):
-        return None
-    return diag
 
 
 def _frequency_scale(ham: HamiltonianSpec, extra_rate: float = 0.0) -> float:
@@ -109,7 +106,7 @@ def evolve_unitary(
     if duration == 0.0:
         return psi.copy()
     if ham.is_static:
-        diag = _exact_diagonal(ham.static)
+        diag = ham.static_diagonal
         if diag is not None:
             return psi * np.exp(-1j * diag * duration)
         return expm(-1j * ham.static * duration) @ psi
@@ -125,30 +122,6 @@ def evolve_unitary(
         psi = _rk4_step(rhs, psi, t, dt)
         t += dt
     return psi / np.linalg.norm(psi)
-
-
-def evolve_with_injected_error(
-    state: np.ndarray,
-    ham: HamiltonianSpec,
-    duration: float,
-    error_op: np.ndarray,
-    at: float,
-) -> np.ndarray:
-    """Unitary evolution with one deterministic error applied part-way through.
-
-    ``at`` is the fraction of ``duration`` at which the operator strikes.
-    The operator is applied the way a stochastic jump would be: project,
-    then renormalize.  A state annihilated by the operator is an error.
-    """
-    if not 0.0 <= at <= 1.0:
-        raise ValueError("error insertion point must lie in [0, 1]")
-    psi = evolve_unitary(state, ham, at * duration)
-    psi = np.asarray(error_op, dtype=complex) @ psi
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
-        raise ValueError("injected error operator annihilated the state")
-    psi = psi / norm
-    return evolve_unitary(psi, ham, (1.0 - at) * duration, t0=at * duration)
 
 
 def liouvillian(ham: HamiltonianSpec, channels) -> np.ndarray:
@@ -256,12 +229,7 @@ def run_trajectory(
         return TrajectoryResult(evolve_unitary(psi, ham, duration), ())
 
     diag_h = ham.static_diagonal if ham.is_static else None
-    products = [
-        getattr(c, "product_diag", None)
-        if getattr(c, "product_diag", None) is not None
-        else _exact_diagonal(c.operator.conj().T @ c.operator)
-        for c in channels
-    ]
+    products = [c.product_diag for c in channels]
     if diag_h is not None and all(p is not None for p in products):
         return _trajectory_diagonal(psi, diag_h, channels, products, duration, rng)
     return _trajectory_dense(psi, ham, channels, duration, rng)
@@ -289,7 +257,7 @@ def _trajectory_diagonal(psi, diag_h, channels, products, duration, rng):
     while True:
         remaining = duration - t_done
         r = rng.random()
-        weights = _abs2(psi)
+        weights = (psi.conj() * psi).real
 
         def survival(t):
             return float(weights @ np.exp(-gamma * t)) - r
@@ -354,13 +322,12 @@ def trajectory_ensemble_density(
     duration: float,
     n_traj: int,
     seed: int,
-    protocol_index: int = 0,
 ) -> np.ndarray:
     """Trajectory-averaged density matrix with per-trial seeded streams."""
     psi0 = np.asarray(state, dtype=complex)
     acc = np.zeros((psi0.size, psi0.size), dtype=complex)
     for trial in range(n_traj):
-        rng = trajectory_rng(seed, protocol_index, trial)
+        rng = trajectory_rng(seed, 0, trial)
         res = run_trajectory(psi0, ham, channels, duration, rng)
         acc += np.outer(res.state, res.state.conj())
     return acc / n_traj
@@ -369,7 +336,6 @@ def trajectory_ensemble_density(
 def ramsey_t2(
     params: SystemParams,
     drive=None,
-    cavity_dim: int = 3,
     t_max: float = 12e-3,
     sample_dt: float = 2e-6,
 ) -> float:
@@ -381,14 +347,14 @@ def ramsey_t2(
     (the flat-curve flag).  With a drive the dressed static Hamiltonian
     and the driven dephasing penalty apply.
     """
-    basis = CavityBasis(dim=cavity_dim)
+    basis = CavityBasis(dim=RAMSEY_CAVITY_DIM)
     mode = "effective" if drive is not None else "off"
     ham = build_hamiltonian(params, basis, mode=mode, drive=drive)
     channels = collapse_channels(params, basis, drive_on=drive is not None)
 
     p_e = params.n_th / (1.0 + params.n_th)
     ancilla_pop = np.array([1.0 - p_e, p_e, 0.0, 0.0])
-    plus = np.zeros(cavity_dim, dtype=complex)
+    plus = np.zeros(basis.dim, dtype=complex)
     plus[0] = plus[1] = 1.0 / math.sqrt(2.0)
     cavity_rho = np.outer(plus, plus.conj())
     rho = np.kron(np.diag(ancilla_pop).astype(complex), cavity_rho)
@@ -397,7 +363,7 @@ def ramsey_t2(
     dim = rho.shape[0]
 
     def cavity_coherence(mat):
-        blocks = mat.reshape(4, cavity_dim, 4, cavity_dim)
+        blocks = mat.reshape(4, basis.dim, 4, basis.dim)
         return abs(np.einsum("anan->", blocks[:, 0:1, :, 1:2]))
 
     flat = rho.reshape(-1)

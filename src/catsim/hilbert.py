@@ -24,7 +24,6 @@ __all__ = [
     "ANCILLA_LEVELS",
     "AncillaBasis",
     "CavityBasis",
-    "CatParams",
     "as_density",
     "cat_overlap",
     "cat_state",
@@ -34,12 +33,10 @@ __all__ = [
     "joint_state",
     "lift_ancilla",
     "lift_cavity",
-    "reduce_to_ancilla",
     "reduce_to_cavity",
     "state_fidelity",
     "validate_density",
     "validate_state",
-    "wigner_point",
 ]
 
 ANCILLA_LEVELS = ("g", "e", "f", "h")
@@ -84,6 +81,9 @@ class AncillaBasis:
         return mat
 
 
+_ANCILLA = AncillaBasis()
+
+
 @dataclass(frozen=True)
 class CavityBasis:
     """Truncated Fock space of the storage cavity."""
@@ -106,9 +106,6 @@ class CavityBasis:
         signs = 1.0 - 2.0 * (np.arange(self.dim) % 2)
         return np.diag(signs).astype(complex)
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
     def displacement(self, beta: complex) -> np.ndarray:
         """Displacement operator exp(beta a+ - beta* a) on the truncated space.
 
@@ -118,17 +115,6 @@ class CavityBasis:
         """
         a = self.annihilation()
         return expm(beta * a.conj().T - np.conjugate(beta) * a)
-
-
-@dataclass(frozen=True)
-class CatParams:
-    """Target cat-state specification: amplitude and photon-number parity."""
-
-    alpha: float = DEFAULT_ALPHA
-    parity: str = "even"
-
-    def state(self, basis: CavityBasis = CavityBasis()) -> np.ndarray:
-        return cat_state(self.alpha, basis, parity=self.parity)
 
 
 def fock_state(n: int, basis: CavityBasis = CavityBasis()) -> np.ndarray:
@@ -231,55 +217,28 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b @ a)))
 
 
-def wigner_point(
-    state: np.ndarray,
-    beta: complex,
-    basis: CavityBasis = CavityBasis(),
-) -> float:
-    """Wigner function W(beta) = (2/pi) <D(beta) P D(beta)+> of a cavity state.
-
-    With this normalization the function integrates to one over the complex
-    plane.  Warns when the sampling point needs more Fock headroom than the
-    basis provides.
-    """
-    if abs(beta) ** 2 > basis.dim / 4.0:
-        warnings.warn(
-            f"|beta|^2 = {abs(beta) ** 2:.3g} exceeds dim/4 = {basis.dim / 4.0:.3g}; "
-            "Wigner value may be truncation limited",
-            stacklevel=2,
-        )
-    shift_back = basis.displacement(-beta)
-    signs = 1.0 - 2.0 * (np.arange(basis.dim) % 2)
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        moved = shift_back @ arr
-        return float(2.0 / math.pi * np.sum(signs * np.abs(moved) ** 2))
-    moved = shift_back @ arr @ shift_back.conj().T
-    return float(2.0 / math.pi * np.real(np.sum(signs * np.diagonal(moved))))
-
-
-def joint_index(level, fock: int, dim: int, ancilla: AncillaBasis = AncillaBasis()) -> int:
+def joint_index(level, fock: int, dim: int) -> int:
     """Flat index of |level, fock> in the ancilla-major joint ordering."""
-    a = ancilla.index(level) if isinstance(level, str) else int(level)
-    if not 0 <= a < ancilla.dim:
+    a = _ANCILLA.index(level) if isinstance(level, str) else int(level)
+    if not 0 <= a < _ANCILLA.dim:
         raise ValueError(f"ancilla index {a} out of range")
     if not 0 <= fock < dim:
         raise ValueError(f"Fock index {fock} outside truncated space of dim {dim}")
     return a * dim + fock
 
 
-def joint_state(level, cavity_vec: np.ndarray, ancilla: AncillaBasis = AncillaBasis()) -> np.ndarray:
+def joint_state(level, cavity_vec: np.ndarray) -> np.ndarray:
     """Product state |level> (x) |cavity> as a flat joint vector."""
     if isinstance(level, str):
-        avec = ancilla.ket(level)
+        avec = _ANCILLA.ket(level)
     else:
         avec = np.asarray(level, dtype=complex)
     return np.kron(avec, np.asarray(cavity_vec, dtype=complex))
 
 
-def lift_cavity(op: np.ndarray, n_ancilla: int = 4) -> np.ndarray:
+def lift_cavity(op: np.ndarray) -> np.ndarray:
     """Embed a cavity operator in the joint space (identity on the ancilla)."""
-    return np.kron(np.eye(n_ancilla, dtype=complex), np.asarray(op, dtype=complex))
+    return np.kron(np.eye(_ANCILLA.dim, dtype=complex), np.asarray(op, dtype=complex))
 
 
 def lift_ancilla(op: np.ndarray, dim: int) -> np.ndarray:
@@ -298,19 +257,6 @@ def reduce_to_cavity(state: np.ndarray, dim: int) -> np.ndarray:
         return block.T @ block.conj()
     blocks = arr.reshape(n_anc, dim, n_anc, dim)
     return np.einsum("anam->nm", blocks)
-
-
-def reduce_to_ancilla(state: np.ndarray, dim: int) -> np.ndarray:
-    """Partial trace over the cavity; returns an ancilla density matrix."""
-    arr = np.asarray(state, dtype=complex)
-    n_anc = arr.shape[0] // dim
-    if n_anc * dim != arr.shape[0]:
-        raise ValueError(f"joint size {arr.shape[0]} not divisible by cavity dim {dim}")
-    if arr.ndim == 1:
-        block = arr.reshape(n_anc, dim)
-        return block @ block.conj().T
-    blocks = arr.reshape(n_anc, dim, n_anc, dim)
-    return np.einsum("anbn->ab", blocks)
 
 
 def validate_state(vec: np.ndarray, atol: float = 1e-7) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .hilbert import AncillaBasis, CavityBasis, lift_ancilla, lift_cavity
 __all__ = [
     "CollapseChannel",
     "DriveSpec",
-    "ERROR_OPERATOR_NAMES",
     "HamiltonianSpec",
     "SystemParams",
     "build_hamiltonian",
@@ -33,11 +33,33 @@ TWO_PI = 2.0 * math.pi
 
 _ANCILLA = AncillaBasis()
 
+# Ancilla factor of every jump operator and injectable error except cavity
+# loss, in collapse-channel order, then the two ancilla phase flips.
+_ANCILLA_JUMPS = {
+    "relax_eg": _ANCILLA.transition("g", "e"),
+    "relax_fe": _ANCILLA.transition("e", "f"),
+    "dephase_g": _ANCILLA.projector("g"),
+    "dephase_e": _ANCILLA.projector("e"),
+    "dephase_f": _ANCILLA.projector("f"),
+    "thermal_ge": _ANCILLA.transition("e", "g"),
+    "thermal_fh": _ANCILLA.transition("h", "f"),
+    "flip_ge": np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex),
+    "flip_gf": np.diag([1.0, 1.0, -1.0, 1.0]).astype(complex),
+}
+
 _DEFAULT_ASSIGNMENT = (
     (0.9996, 0.0004, 0.0),
     (0.0001, 0.9997, 0.0002),
     (0.0, 0.0001, 0.9999),
 )
+
+
+def _exact_diagonal(mat: np.ndarray):
+    """Copy of the diagonal of ``mat``, or None if any off-diagonal entry is nonzero."""
+    diag = np.diagonal(mat)
+    if np.count_nonzero(mat - np.diag(diag)):
+        return None
+    return diag.copy()
 
 
 @dataclass(frozen=True)
@@ -91,12 +113,7 @@ class SystemParams:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ValueError(f"unknown parameter(s): {', '.join(unknown)}")
-        kwargs = dict(raw)
-        if "assignment_error" in kwargs:
-            kwargs["assignment_error"] = tuple(
-                tuple(float(x) for x in row) for row in kwargs["assignment_error"]
-            )
-        return cls(**kwargs)
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path) -> "SystemParams":
@@ -145,18 +162,10 @@ class HamiltonianSpec:
     def is_static(self) -> bool:
         return len(self.periodic) == 0
 
-    @property
+    @cached_property
     def static_diagonal(self):
         """Diagonal of the static part, or None if it has off-diagonal terms."""
-        cached = getattr(self, "_static_diag", False)
-        if cached is False:
-            diag = np.diagonal(self.static)
-            if np.count_nonzero(self.static - np.diag(diag)):
-                cached = None
-            else:
-                cached = diag.copy()
-            object.__setattr__(self, "_static_diag", cached)
-        return cached
+        return _exact_diagonal(self.static)
 
     def matrix(self, t: float) -> np.ndarray:
         h = np.array(self.static, dtype=complex)
@@ -266,11 +275,10 @@ class CollapseChannel:
     operator: np.ndarray
     rate: float
 
-    def __post_init__(self):
-        product = self.operator.conj().T @ self.operator
-        diag = np.diagonal(product)
-        cached = None if np.count_nonzero(product - np.diag(diag)) else diag.real.copy()
-        object.__setattr__(self, "product_diag", cached)
+    @cached_property
+    def product_diag(self):
+        diag = _exact_diagonal(self.operator.conj().T @ self.operator)
+        return None if diag is None else diag.real
 
 
 def collapse_channels(
@@ -286,38 +294,22 @@ def collapse_channels(
     factor.  Thermal excitation feeds g to e and, with the ladder scaling,
     f to h.
     """
-    dim = basis.dim
     deph_scale = params.drive_dephasing_factor if drive_on else 1.0
-
-    def anc(op):
-        return lift_ancilla(op, dim)
-
-    channels = [
-        ("cavity_loss", 1.0 / params.T1_cavity, lift_cavity(basis.annihilation())),
-        ("relax_eg", 1.0 / params.T1_eg, anc(_ANCILLA.transition("g", "e"))),
-        ("relax_fe", 1.0 / params.T1_fe, anc(_ANCILLA.transition("e", "f"))),
-        ("dephase_g", deph_scale * 2.0 / params.Tphi_g, anc(_ANCILLA.projector("g"))),
-        ("dephase_e", deph_scale * 2.0 / params.Tphi_e, anc(_ANCILLA.projector("e"))),
-        ("dephase_f", deph_scale * 2.0 / params.Tphi_f, anc(_ANCILLA.projector("f"))),
-        ("thermal_ge", params.n_th / params.T1_eg, anc(_ANCILLA.transition("e", "g"))),
-        ("thermal_fh", 3.0 * params.n_th / params.T1_eg, anc(_ANCILLA.transition("h", "f"))),
-    ]
+    rates = (
+        ("cavity_loss", 1.0 / params.T1_cavity),
+        ("relax_eg", 1.0 / params.T1_eg),
+        ("relax_fe", 1.0 / params.T1_fe),
+        ("dephase_g", deph_scale * 2.0 / params.Tphi_g),
+        ("dephase_e", deph_scale * 2.0 / params.Tphi_e),
+        ("dephase_f", deph_scale * 2.0 / params.Tphi_f),
+        ("thermal_ge", params.n_th / params.T1_eg),
+        ("thermal_fh", 3.0 * params.n_th / params.T1_eg),
+    )
     return tuple(
-        CollapseChannel(label, math.sqrt(rate) * op, rate)
-        for label, rate, op in channels
+        CollapseChannel(label, math.sqrt(rate) * error_operator(label, basis), rate)
+        for label, rate in rates
         if rate > 0.0
     )
-
-
-ERROR_OPERATOR_NAMES = (
-    "cavity_loss",
-    "relax_eg",
-    "relax_fe",
-    "thermal_ge",
-    "thermal_fh",
-    "flip_ge",
-    "flip_gf",
-)
 
 
 def error_operator(name: str, basis: CavityBasis = CavityBasis()) -> np.ndarray:
@@ -327,19 +319,8 @@ def error_operator(name: str, basis: CavityBasis = CavityBasis()) -> np.ndarray:
     on the g-e or g-f superposition); the rest are the jump operators of
     the matching dissipation channels.
     """
-    dim = basis.dim
     if name == "cavity_loss":
         return lift_cavity(basis.annihilation())
-    if name == "relax_eg":
-        return lift_ancilla(_ANCILLA.transition("g", "e"), dim)
-    if name == "relax_fe":
-        return lift_ancilla(_ANCILLA.transition("e", "f"), dim)
-    if name == "thermal_ge":
-        return lift_ancilla(_ANCILLA.transition("e", "g"), dim)
-    if name == "thermal_fh":
-        return lift_ancilla(_ANCILLA.transition("h", "f"), dim)
-    if name == "flip_ge":
-        return lift_ancilla(np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex), dim)
-    if name == "flip_gf":
-        return lift_ancilla(np.diag([1.0, 1.0, -1.0, 1.0]).astype(complex), dim)
-    raise KeyError(f"unknown error operator {name!r}")
+    if name not in _ANCILLA_JUMPS:
+        raise KeyError(f"unknown error operator {name!r}")
+    return lift_ancilla(_ANCILLA_JUMPS[name], basis.dim)

@@ -22,17 +22,18 @@ import numpy as np
 
 from .dynamics import (
     JumpRecord,
+    evolve_master,
     evolve_unitary,
     run_trajectory,
     trajectory_rng,
 )
 from .hilbert import (
-    AncillaBasis,
     CavityBasis,
     cat_state,
     coherent_state,
     joint_state,
     lift_ancilla,
+    validate_state,
 )
 from .model import (
     DriveSpec,
@@ -47,7 +48,6 @@ __all__ = [
     "ASSIGNMENT_FIDELITY",
     "F_OUTCOME_RATE",
     "InjectedError",
-    "LIKELIHOOD_THRESHOLD",
     "MASTER_BUDGET",
     "MapResult",
     "PROTOCOLS",
@@ -60,15 +60,12 @@ __all__ = [
     "ancilla_rotation",
     "cat_mean_photons",
     "classify_event",
-    "flip_posterior",
     "map_duration",
-    "no_flip_posterior",
     "parity_flip_probability",
     "parity_map",
     "prepare_cat",
     "preparation_statistics",
     "readout_and_reset",
-    "record_likelihood",
     "repeated_parity",
 ]
 
@@ -84,9 +81,6 @@ TOMO_STREAM = 4
 # heralded f outcomes.  These describe the filter model, not the physics.
 ASSIGNMENT_FIDELITY = {"ge": 0.83, "gf": 0.865, "ft": 0.82}
 F_OUTCOME_RATE = {"ge": 0.005, "gf": 0.08, "ft": 0.10}
-LIKELIHOOD_THRESHOLD = 0.20
-
-_ANCILLA = AncillaBasis()
 
 _EVENT_BY_OUTCOME = {"g": "no_error", "e": "dephasing", "f": "relaxation"}
 
@@ -144,8 +138,8 @@ def cat_mean_photons(alpha: float) -> float:
     return a2 * math.tanh(a2)
 
 
-def ancilla_rotation(kind: str, basis: CavityBasis = CavityBasis()) -> np.ndarray:
-    """Instantaneous ancilla pulse as a joint-space unitary.
+def ancilla_rotation(kind: str) -> np.ndarray:
+    """Instantaneous ancilla pulse as a 4x4 unitary on the ancilla levels.
 
     ``ge_half`` takes g to (g + e)/sqrt2, ``ge_half_inv`` undoes it, and
     ``ef_full`` swaps e and f.  Phase conventions are fixed so that even
@@ -161,19 +155,17 @@ def ancilla_rotation(kind: str, basis: CavityBasis = CavityBasis()) -> np.ndarra
         mat[1:3, 1:3] = np.array([[0.0, 1.0], [1.0, 0.0]])
     else:
         raise ValueError(f"unknown rotation {kind!r}")
-    return lift_ancilla(mat, basis.dim)
+    return mat
 
 
 @lru_cache(maxsize=32)
 def _map_context(params, basis, protocol, drive, drive_mode):
-    if protocol == "ft":
-        drv = drive or DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))
-        mode = "effective" if drive_mode == "effective" else "time_dependent"
-        ham = build_hamiltonian(params, basis, mode=mode, drive=drv)
-        channels = collapse_channels(params, basis, drive_on=True)
-    else:
-        ham = build_hamiltonian(params, basis)
-        channels = collapse_channels(params, basis)
+    if protocol != "ft":
+        return _readout_context(params, basis)
+    drv = drive or DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))
+    mode = "effective" if drive_mode == "effective" else "time_dependent"
+    ham = build_hamiltonian(params, basis, mode=mode, drive=drv)
+    channels = collapse_channels(params, basis, drive_on=True)
     return ham, channels
 
 
@@ -184,9 +176,12 @@ def _readout_context(params, basis):
     return ham, channels
 
 
-@lru_cache(maxsize=32)
-def _pulse_cache(kind, basis):
-    return ancilla_rotation(kind, basis)
+_PULSES = {kind: ancilla_rotation(kind) for kind in ("ge_half", "ge_half_inv", "ef_full")}
+
+
+def _pulse(kind, psi, dim):
+    """Apply an ancilla pulse to the (4, dim) view of a joint state."""
+    return (_PULSES[kind] @ psi.reshape(4, dim)).reshape(4 * dim)
 
 
 def _wait_segment(psi, ham, channels, duration, rng, injected, basis):
@@ -247,13 +242,14 @@ def parity_map(
     ham, channels = _map_context(params, basis, protocol, drive, drive_mode)
     wait = map_duration(params, protocol)
 
-    psi = _pulse_cache("ge_half", basis) @ np.asarray(state, dtype=complex)
+    dim = basis.dim
+    psi = _pulse("ge_half", np.asarray(state, dtype=complex), dim)
     if protocol in ("gf", "ft"):
-        psi = _pulse_cache("ef_full", basis) @ psi
+        psi = _pulse("ef_full", psi, dim)
     psi, jumps = _wait_segment(psi, ham, channels, wait, rng, injected, basis)
     if protocol in ("gf", "ft"):
-        psi = _pulse_cache("ef_full", basis) @ psi
-    psi = _pulse_cache("ge_half_inv", basis) @ psi
+        psi = _pulse("ef_full", psi, dim)
+    psi = _pulse("ge_half_inv", psi, dim)
     return psi, tuple(jumps)
 
 
@@ -338,7 +334,6 @@ def repeated_parity(
     trials: int | None = None,
     seed: int | None = None,
     mode: str = "trajectory",
-    master_budget: int = MASTER_BUDGET,
     drive_mode: str = "effective",
 ):
     """Repeated map-plus-readout cycles.
@@ -348,20 +343,23 @@ def repeated_parity(
     independent seeded streams when ``trials`` is given.  Master mode
     propagates the full density matrix and returns the postselected all-g
     ensemble; its cost grows as rounds times the squared joint dimension,
-    so it is budget-capped to small problems.
+    so it is budget-capped to small problems, and it runs the effective
+    drive only.
     """
     _check_protocol(protocol)
-    cavity = (
-        np.asarray(initial_cavity, dtype=complex)
-        if initial_cavity is not None
-        else cat_state(math.sqrt(2.0), basis)
-    )
+    if initial_cavity is None:
+        cavity = cat_state(math.sqrt(2.0), basis)
+    else:
+        cavity = np.asarray(initial_cavity, dtype=complex)
+        validate_state(cavity)
     if mode == "master":
+        if drive_mode != "effective":
+            raise ValueError(f"master mode runs the effective drive only, not {drive_mode!r}")
         cost = n_rounds * (4 * basis.dim) ** 2
-        if cost > master_budget:
+        if cost > MASTER_BUDGET:
             raise ValueError(
                 f"master mode needs {cost} density elements, over the "
-                f"budget of {master_budget}; use trajectories"
+                f"budget of {MASTER_BUDGET}; use trajectories"
             )
         return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive)
     if mode != "trajectory":
@@ -411,8 +409,6 @@ def _repeated_parity_once(params, protocol, n_rounds, rng, basis, cavity, drive,
 
 
 def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive):
-    from .dynamics import evolve_master
-
     dim = basis.dim
     ham, channels = _map_context(params, basis, protocol, drive, "effective")
     ro_ham, ro_channels = _readout_context(params, basis)
@@ -420,11 +416,9 @@ def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive):
 
     psi0 = joint_state("g", cavity)
     rho = np.outer(psi0, psi0.conj())
-    pulses = [_pulse_cache("ge_half", basis)]
-    closing = [_pulse_cache("ge_half_inv", basis)]
-    if protocol in ("gf", "ft"):
-        pulses.append(_pulse_cache("ef_full", basis))
-        closing.insert(0, _pulse_cache("ef_full", basis))
+    opening = ("ge_half", "ef_full") if protocol in ("gf", "ft") else ("ge_half",)
+    pulses = [lift_ancilla(ancilla_rotation(kind), dim) for kind in opening]
+    closing = [u.conj().T for u in reversed(pulses)]
 
     survival = 1.0
     wait = map_duration(params, protocol)
@@ -446,31 +440,6 @@ def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive):
         rho = np.zeros((4 * dim, 4 * dim), dtype=complex)
         rho[:dim, :dim] = kept / prob
     return PostselectedEnsemble(probability=survival, state=rho)
-
-
-def record_likelihood(
-    outcomes,
-    protocol: str = "gf",
-    params: SystemParams | None = None,
-    f_assign: float | None = None,
-):
-    """Record probability under the no-photon-loss hypothesis.
-
-    The model is an i.i.d. product: each reported g contributes the
-    assignment fidelity and anything else the complement.  Returns
-    ``(p, keep)`` with ``keep`` true when p clears the discard threshold.
-    Adequate for short records; long records underflow any fixed
-    threshold, which is why the decay pipeline filters on the posterior
-    of ``no_flip_posterior`` instead.
-    """
-    del params
-    if f_assign is None:
-        _check_protocol(protocol)
-        f_assign = ASSIGNMENT_FIDELITY[protocol]
-    p = 1.0
-    for outcome in outcomes:
-        p *= f_assign if outcome == "g" else 1.0 - f_assign
-    return p, p >= LIKELIHOOD_THRESHOLD
 
 
 def parity_flip_probability(params: SystemParams, protocol: str, alpha: float = math.sqrt(2.0)) -> float:
@@ -534,33 +503,6 @@ class ParityFilter:
     @property
     def no_flip_posterior(self) -> float:
         return math.exp(self.log_no_flip - self.log_evidence)
-
-
-def flip_posterior(
-    outcomes,
-    params: SystemParams,
-    protocol: str,
-    alpha: float = math.sqrt(2.0),
-) -> float:
-    """Posterior probability that the parity is even after a record."""
-    filt = ParityFilter.for_protocol(params, protocol, alpha)
-    prob = 1.0
-    for outcome in outcomes:
-        prob = filt.update(outcome)
-    return prob
-
-
-def no_flip_posterior(
-    outcomes,
-    params: SystemParams,
-    protocol: str,
-    alpha: float = math.sqrt(2.0),
-) -> float:
-    """Posterior probability that no photon was lost during a record."""
-    filt = ParityFilter.for_protocol(params, protocol, alpha)
-    for outcome in outcomes:
-        filt.update(outcome)
-    return filt.no_flip_posterior
 
 
 @dataclass(frozen=True)

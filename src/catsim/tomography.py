@@ -10,7 +10,6 @@ contrast measured on vacuum before reconstruction.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import CavityBasis, as_density, cat_state, joint_state
+from .hilbert import (
+    CavityBasis,
+    as_density,
+    cat_state,
+    fock_state,
+    joint_state,
+    validate_density,
+    validate_state,
+)
 from .model import SystemParams
 from .protocols import parity_map, readout_and_reset
 
@@ -28,19 +35,13 @@ __all__ = [
     "aligned_cat_fidelity",
     "mle_reconstruct",
     "normalize_grid",
-    "read_grid_csv",
     "simulate_tomography",
     "square_grid",
     "vacuum_contrast",
     "wigner_scan",
-    "write_grid_csv",
 ]
 
 TWO_OVER_PI = 2.0 / math.pi
-
-# Amplitude bound inside which a truncated Wigner value is trustworthy.
-def _trusted_radius(dim: int) -> float:
-    return math.sqrt(dim / 4.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +61,6 @@ class WignerGrid:
 
     def __len__(self) -> int:
         return len(self.betas)
-
-    @property
-    def points(self):
-        return list(zip(self.betas, self.values, self.shots))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +89,22 @@ def _parity_signs(dim: int) -> np.ndarray:
 
 
 def wigner_scan(rho_cavity: np.ndarray, betas, basis: CavityBasis | None = None) -> WignerGrid:
-    """Exact Wigner values of a cavity state on a grid of displacements."""
+    """Exact Wigner values of a cavity state on a grid of displacements.
+
+    Raises ValueError unless the state is a unit vector or a density matrix.
+    """
     rho_cavity = np.asarray(rho_cavity)
     if rho_cavity.ndim == 1:
+        validate_state(rho_cavity)
         dim = rho_cavity.size
     else:
+        validate_density(rho_cavity)
         dim = rho_cavity.shape[0]
     if basis is not None:
         dim = basis.dim
     betas = np.asarray(betas, dtype=complex).ravel()
-    radius = _trusted_radius(dim)
+    # Amplitude bound inside which a truncated Wigner value is trustworthy.
+    radius = math.sqrt(dim / 4.0)
     if np.any(np.abs(betas) > radius):
         warnings.warn(
             f"displacements beyond |beta| = {radius:.2f} exceed the "
@@ -168,10 +171,8 @@ def vacuum_contrast(
     protocol: str = "gf",
 ) -> float:
     """Mean measured parity of vacuum through the same circuit, near 0.735."""
-    vac = np.zeros(basis.dim, dtype=complex)
-    vac[0] = 1.0
     grid = simulate_tomography(
-        joint_state("g", vac), [0.0], params, shots, rng, basis, protocol
+        joint_state("g", fock_state(0, basis)), [0.0], params, shots, rng, basis, protocol
     )
     return float(grid.values[0]) / TWO_OVER_PI
 
@@ -182,34 +183,6 @@ def normalize_grid(grid: WignerGrid, contrast: float) -> WignerGrid:
         raise ValueError("contrast must be positive")
     return WignerGrid(
         betas=grid.betas, values=grid.values / contrast, shots=grid.shots
-    )
-
-
-def write_grid_csv(grid: WignerGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_beta", "im_beta", "value", "shots"])
-        for beta, value, shots in grid.points:
-            writer.writerow(
-                [repr(float(beta.real)), repr(float(beta.imag)), repr(float(value)), int(shots)]
-            )
-
-
-def read_grid_csv(path) -> WignerGrid:
-    betas, values, shots = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader)
-        if header[:4] != ["re_beta", "im_beta", "value", "shots"]:
-            raise ValueError(f"unexpected grid header {header!r}")
-        for row in reader:
-            betas.append(float(row[0]) + 1j * float(row[1]))
-            values.append(float(row[2]))
-            shots.append(int(row[3]))
-    return WignerGrid(
-        betas=np.array(betas, dtype=complex),
-        values=np.array(values),
-        shots=np.array(shots, dtype=int),
     )
 
 

@@ -13,15 +13,11 @@ from catsim.analytics import (
     fit_decay,
     kick_infidelity,
     phase_kick_monte_carlo,
-    read_decay_csv,
-    read_error_table_csv,
     residual_dephasing_time,
     t2_model_curve,
     thermal_dephasing_rate,
     total_dephasing_probability,
     trajectory_decay_curve,
-    write_decay_csv,
-    write_error_table_csv,
 )
 from catsim.hilbert import cat_overlap
 from catsim.model import SystemParams, cancellation_detuning
@@ -218,7 +214,8 @@ def test_decay_curve_validation():
     with pytest.raises(ValueError):
         DecayCurve(np.array([1, 2]), np.array([0.5, 1.2]), np.zeros(2))
     curve = DecayCurve(np.array([1, 2]), np.array([0.9, 0.8]), np.array([0.01, 0.01]))
-    assert curve.points == [(1, 0.9, 0.01), (2, 0.8, 0.01)]
+    columns = zip(curve.n.tolist(), curve.fidelity.tolist(), curve.stderr.tolist())
+    assert list(columns) == [(1, 0.9, 0.01), (2, 0.8, 0.01)]
 
 
 def test_monte_carlo_no_events_is_flat_unity():
@@ -313,35 +310,6 @@ def test_fit_requires_five_points():
     )
     with pytest.raises(ValueError):
         fit_decay(curve)
-
-
-def test_error_table_csv_roundtrip(tmp_path):
-    events = error_event_table(SystemParams(), "gf")
-    path = tmp_path / "table.csv"
-    write_error_table_csv(events, path)
-    back = read_error_table_csv(path)
-    assert back == events
-
-
-def test_decay_csv_roundtrip(tmp_path):
-    curve = phase_kick_monte_carlo(
-        error_event_table(SystemParams(), "ft"), 8, trials=1000, seed=2
-    )
-    path = tmp_path / "curve.csv"
-    write_decay_csv(curve, path)
-    back = read_decay_csv(path)
-    assert np.array_equal(back.n, curve.n)
-    assert np.array_equal(back.fidelity, curve.fidelity)
-    assert np.array_equal(back.stderr, curve.stderr)
-
-
-def test_csv_headers_checked(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_decay_csv(path)
-    with pytest.raises(ValueError):
-        read_error_table_csv(path)
 
 
 def test_trajectory_decay_declines_under_filtering():

@@ -62,6 +62,28 @@ def test_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_failed_write_leaves_no_output_or_temp_file(tmp_path, monkeypatch, capsys):
+    real_writer = cli.csv.writer
+
+    class DiskFull:
+        def __init__(self, fh):
+            self.inner = real_writer(fh)
+            self.rows = 0
+
+        def writerow(self, row):
+            if self.rows == 2:
+                raise OSError("no space left on device")
+            self.rows += 1
+            self.inner.writerow(row)
+
+    monkeypatch.setattr(cli.csv, "writer", DiskFull)
+    out = tmp_path / "eb.csv"
+    rc = cli.run(["error-budget", "--out", str(out), "--format", "csv"])
+    assert rc == 2
+    assert "no space left" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_error_budget_meta_and_totals(tmp_path):
     doc = run_json(tmp_path, "eb.json", ["error-budget", "--protocol", "gf"])
     meta = doc["meta"]

@@ -13,14 +13,12 @@ from catsim.model import (
     SystemParams,
     build_hamiltonian,
     collapse_channels,
-    error_operator,
     induced_chi,
 )
 from catsim.dynamics import (
     chevron_map,
     evolve_master,
     evolve_unitary,
-    evolve_with_injected_error,
     measured_stark_shift,
     ramsey_t2,
     run_trajectory,
@@ -208,38 +206,6 @@ def test_trajectory_ensemble_matches_master():
     assert trace_distance(reference, sampled) < 0.02
 
 
-@pytest.mark.filterwarnings("ignore:coherent state truncation")
-def test_injected_error_projects_like_a_jump():
-    params = SystemParams()
-    basis = CavityBasis(dim=8)
-    ham = build_hamiltonian(params, basis)
-    cat = cat_state(math.sqrt(2.0), basis)
-    anc = np.zeros(4, dtype=complex)
-    anc[0] = anc[2] = 1.0 / math.sqrt(2.0)
-    psi = np.kron(anc, cat)
-    out = evolve_with_injected_error(
-        psi, ham, 2e-6, error_operator("relax_fe", basis), at=0.5
-    )
-    # the jump annihilates the g branch; all population lands on e
-    pops = np.sum(np.abs(out.reshape(4, 8)) ** 2, axis=1)
-    assert pops[1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_injected_error_zero_norm_raises():
-    params = SystemParams()
-    basis = CavityBasis(dim=6)
-    ham = build_hamiltonian(params, basis)
-    psi = joint_state("g", cat_state(1.0, basis))
-    with pytest.raises(ValueError, match="annihilated"):
-        evolve_with_injected_error(
-            psi, ham, 1e-6, error_operator("relax_fe", basis), at=0.3
-        )
-    with pytest.raises(ValueError, match="insertion point"):
-        evolve_with_injected_error(
-            psi, ham, 1e-6, error_operator("relax_fe", basis), at=1.5
-        )
-
-
 def test_ramsey_cavity_loss_only_gives_twice_t1():
     quiet = SystemParams(
         chi_e=1e-30,
@@ -287,6 +253,27 @@ def test_trajectory_rng_streams():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_trajectory_rng_rejects_indices_outside_32_bits():
+    # A trial index of 2**32 would carry into the protocol bits and
+    # replay the stream of (protocol + 1, trial 0).
+    trajectory_rng(7, 2**32 - 1, 2**32 - 1)
+    for protocol_index, trial_index in ((0, 2**32), (2**32, 0), (0, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            trajectory_rng(7, protocol_index, trial_index)
+
+
+def test_diagonal_caches_mark_exact_structure():
+    diag = np.array([1.0, -2.0, 3.0], dtype=complex)
+    assert np.array_equal(HamiltonianSpec(static=np.diag(diag)).static_diagonal, diag)
+    coupled = np.diag(diag)
+    coupled[0, 2] = coupled[2, 0] = 1e-30
+    assert HamiltonianSpec(static=coupled).static_diagonal is None
+    # sigma_- has a diagonal L+L; sigma_x does not.
+    assert np.array_equal(decay_channel(4.0).product_diag, [0.0, 4.0])
+    flip = CollapseChannel("flip", np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex), 1.0)
+    assert flip.product_diag is None
 
 
 def test_chevron_resonant_full_contrast_at_sideband_rate():

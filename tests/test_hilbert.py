@@ -10,7 +10,6 @@ from scipy.integrate import trapezoid
 from catsim import hilbert
 from catsim.hilbert import (
     AncillaBasis,
-    CatParams,
     CavityBasis,
     cat_overlap,
     cat_state,
@@ -20,13 +19,12 @@ from catsim.hilbert import (
     joint_state,
     lift_ancilla,
     lift_cavity,
-    reduce_to_ancilla,
     reduce_to_cavity,
     state_fidelity,
     validate_density,
     validate_state,
-    wigner_point,
 )
+from catsim.tomography import wigner_scan
 
 ALPHA = math.sqrt(2.0)
 
@@ -97,10 +95,6 @@ def test_cat_mean_photon_number(basis20, even_cat):
 def test_cat_fock_weight_purity_floor(even_cat):
     weights = np.abs(even_cat) ** 2
     assert float(np.sum(weights**2)) == pytest.approx(CAT_PURITY_FLOOR, abs=1e-9)
-
-
-def test_cat_params_builds_state(basis20, even_cat):
-    assert np.allclose(CatParams().state(basis20), even_cat)
 
 
 def test_cat_state_rejects_unknown_parity(basis20):
@@ -176,21 +170,20 @@ def test_displacement_inverse_composition():
 def test_wigner_vacuum_values():
     basis = CavityBasis(dim=20)
     vac = fock_state(0, basis)
-    assert wigner_point(vac, 0.0, basis) == pytest.approx(2.0 / math.pi, abs=1e-10)
-    assert wigner_point(vac, 0.5, basis) == pytest.approx(
-        2.0 / math.pi * math.exp(-0.5), abs=1e-10
-    )
+    values = wigner_scan(vac, [0.0, 0.5], basis).values
+    assert values[0] == pytest.approx(2.0 / math.pi, abs=1e-10)
+    assert values[1] == pytest.approx(2.0 / math.pi * math.exp(-0.5), abs=1e-10)
 
 
 def test_wigner_cat_interference_fringe(basis20, even_cat):
     # Fringe minimum on the imaginary axis where cos(4 alpha y) = -1.
     y = math.pi / (4.0 * ALPHA)
-    assert wigner_point(even_cat, 1j * y, basis20) < -0.25
+    assert wigner_scan(even_cat, [1j * y], basis20).values[0] < -0.25
 
 
 def test_wigner_warns_outside_trusted_region(basis20, even_cat):
-    with pytest.warns(UserWarning, match="truncation"):
-        wigner_point(even_cat, 3.0, basis20)
+    with pytest.warns(UserWarning, match="trusted region"):
+        wigner_scan(even_cat, [3.0], basis20)
 
 
 def test_wigner_integrates_to_one():
@@ -200,8 +193,8 @@ def test_wigner_integrates_to_one():
     vac = fock_state(0, basis)
     step = 0.2
     xs = np.arange(-2.4, 2.4 + 1e-9, step)
-    total = sum(wigner_point(vac, x + 1j * y, basis) for x in xs for y in xs)
-    total *= step * step
+    betas = [x + 1j * y for x in xs for y in xs]
+    total = np.sum(wigner_scan(vac, betas, basis).values) * step * step
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
@@ -221,10 +214,6 @@ def test_joint_state_and_reductions(basis20, even_cat):
     assert abs(psi[joint_index("e", 0, 20)] - even_cat[0]) < 1e-12
     rho_c = reduce_to_cavity(psi, 20)
     assert np.allclose(rho_c, np.outer(even_cat, even_cat.conj()), atol=1e-12)
-    rho_a = reduce_to_ancilla(psi, 20)
-    expected = np.zeros((4, 4))
-    expected[1, 1] = 1.0
-    assert np.allclose(rho_a, expected, atol=1e-12)
 
 
 def test_lift_operators_commute_across_subsystems(basis20):

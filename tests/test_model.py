@@ -194,8 +194,10 @@ def test_time_dependent_mode_coupling(params):
 
 def test_collapse_channels_rates_and_structure(params):
     basis = CavityBasis(dim=6)
-    channels = {c.label: c for c in collapse_channels(params, basis)}
-    assert set(channels) == {
+    ordered = collapse_channels(params, basis)
+    channels = {c.label: c for c in ordered}
+    # Channel order decides which uniform draw picks which jump.
+    assert [c.label for c in ordered] == [
         "cavity_loss",
         "relax_eg",
         "relax_fe",
@@ -204,7 +206,12 @@ def test_collapse_channels_rates_and_structure(params):
         "dephase_f",
         "thermal_ge",
         "thermal_fh",
-    }
+    ]
+    # Each channel operator is the injectable error operator scaled by its rate.
+    for chan in ordered:
+        expected = math.sqrt(chan.rate) * error_operator(chan.label, basis)
+        assert np.array_equal(chan.operator, expected)
+    assert [c.label for c in collapse_channels(SystemParams(n_th=0.0), basis)][-1] == "dephase_f"
     assert channels["cavity_loss"].rate == pytest.approx(1 / 1.07e-3)
     assert channels["dephase_e"].rate == pytest.approx(2 / 17e-6)
     assert channels["thermal_ge"].rate == pytest.approx(1000.0)

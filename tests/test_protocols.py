@@ -5,33 +5,33 @@ import math
 import numpy as np
 import pytest
 
+from catsim import protocols
 from catsim.dynamics import trajectory_rng
 from catsim.hilbert import (
     CavityBasis,
     cat_overlap,
     cat_state,
     joint_state,
+    lift_ancilla,
     reduce_to_cavity,
     state_fidelity,
 )
 from catsim.model import SystemParams
 from catsim.protocols import (
-    ASSIGNMENT_FIDELITY,
     InjectedError,
     ParityFilter,
     ancilla_rotation,
     classify_event,
-    flip_posterior,
     map_duration,
-    no_flip_posterior,
     parity_flip_probability,
     parity_map,
     prepare_cat,
     preparation_statistics,
     readout_and_reset,
-    record_likelihood,
     repeated_parity,
 )
+
+PULSES = ("ge_half", "ge_half_inv", "ef_full")
 
 ALPHA = math.sqrt(2.0)
 
@@ -57,6 +57,15 @@ def conditioned_cavity(psi, basis):
     return reduce_to_cavity(np.outer(psi, psi.conj()), basis.dim)
 
 
+def filter_record(outcomes, params, protocol):
+    """Run a record through a fresh filter; return it and the last even-parity posterior."""
+    filt = ParityFilter.for_protocol(params, protocol)
+    even = 1.0
+    for outcome in outcomes:
+        even = filt.update(outcome)
+    return filt, even
+
+
 def test_map_duration_values():
     p = SystemParams()
     assert map_duration(p, "ge") == pytest.approx(1.0 / (2 * 93e3), rel=1e-12)
@@ -67,15 +76,27 @@ def test_map_duration_values():
 
 
 def test_rotation_unitarity():
-    basis = CavityBasis(6)
-    for kind in ("ge_half", "ge_half_inv", "ef_full"):
-        u = ancilla_rotation(kind, basis)
-        assert np.allclose(u.conj().T @ u, np.eye(24), atol=1e-14)
-    u = ancilla_rotation("ge_half", basis)
-    v = ancilla_rotation("ge_half_inv", basis)
-    assert np.allclose(v @ u, np.eye(24), atol=1e-14)
+    for kind in PULSES:
+        u = ancilla_rotation(kind)
+        assert u.shape == (4, 4)
+        assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-14)
+    u = ancilla_rotation("ge_half")
+    v = ancilla_rotation("ge_half_inv")
+    assert np.allclose(v @ u, np.eye(4), atol=1e-14)
     with pytest.raises(ValueError):
-        ancilla_rotation("gh_half", basis)
+        ancilla_rotation("gh_half")
+
+
+@pytest.mark.parametrize("dim", [6, 20])
+@pytest.mark.parametrize("kind", PULSES)
+def test_pulse_on_ancilla_axis_matches_lifted_matrix(kind, dim):
+    # parity_map applies each pulse as a 4x4 product on the (4, dim) view;
+    # the oracle is the same pulse lifted to the joint space.
+    rng = np.random.default_rng(dim)
+    psi = rng.normal(size=4 * dim) + 1j * rng.normal(size=4 * dim)
+    psi /= np.linalg.norm(psi)
+    lifted = lift_ancilla(ancilla_rotation(kind), dim) @ psi
+    assert np.max(np.abs(protocols._pulse(kind, psi, dim) - lifted)) <= 1e-15
 
 
 @pytest.mark.parametrize("protocol", ["ge", "gf", "ft"])
@@ -271,21 +292,6 @@ def test_quiet_rounds_are_qnd(basis20):
     assert parity > 0.999
 
 
-def test_record_likelihood_values():
-    p, keep = record_likelihood("gggg", "ge")
-    assert p == pytest.approx(ASSIGNMENT_FIDELITY["ge"] ** 4)
-    p, keep = record_likelihood(["g", "g", "g", "g"], f_assign=0.85)
-    assert p == pytest.approx(0.52200625)
-    assert keep
-    p, keep = record_likelihood(["g", "e", "g", "g"], f_assign=0.85)
-    assert p == pytest.approx(0.85**3 * 0.15)
-    assert not keep
-    p, keep = record_likelihood("gggg", f_assign=1.0)
-    assert p == 1.0 and keep
-    p, keep = record_likelihood([], f_assign=0.85)
-    assert p == 1.0 and keep
-
-
 def test_flip_probability_scales_with_exposure():
     p = SystemParams()
     assert parity_flip_probability(p, "ge") > parity_flip_probability(p, "gf")
@@ -294,30 +300,27 @@ def test_flip_probability_scales_with_exposure():
 
 def test_filter_tolerates_isolated_misassignment():
     p = SystemParams()
-    post_clean = flip_posterior("g" * 20, p, "gf")
-    post_one_e = flip_posterior("g" * 10 + "e" + "g" * 9, p, "gf")
+    _, post_clean = filter_record("g" * 20, p, "gf")
+    _, post_one_e = filter_record("g" * 10 + "e" + "g" * 9, p, "gf")
     assert post_clean > 0.9
     assert post_one_e > 0.5
     # A run of odd reports is evidence of a real flip, not noise.
-    post_run = flip_posterior("g" * 10 + "eeeee", p, "gf")
+    _, post_run = filter_record("g" * 10 + "eeeee", p, "gf")
     assert post_run < 0.2
 
 
 def test_no_flip_posterior_handles_long_records():
     p = SystemParams()
-    # The product likelihood of a long clean record underflows the
+    # The product likelihood of a long clean record underflows any fixed
     # threshold, but the posterior of the loss-free history stays high.
-    product, keep = record_likelihood("g" * 80, "gf")
-    assert product < 1e-4 and not keep
-    posterior = no_flip_posterior("g" * 80, p, "gf")
-    assert posterior > 0.8
+    assert filter_record("g" * 80, p, "gf")[0].no_flip_posterior > 0.8
     # A sustained switch to e marks a real loss; a short e burst bracketed
     # by clean stretches is far better explained by misassignment.
-    flipped = no_flip_posterior("g" * 40 + "e" * 40, p, "gf")
+    flipped = filter_record("g" * 40 + "e" * 40, p, "gf")[0].no_flip_posterior
     assert flipped < 1e-6
-    burst = no_flip_posterior("g" * 40 + "eee" + "g" * 37, p, "gf")
+    burst = filter_record("g" * 40 + "eee" + "g" * 37, p, "gf")[0].no_flip_posterior
     assert burst > 0.9
-    assert no_flip_posterior([], p, "gf") == pytest.approx(1.0)
+    assert filter_record([], p, "gf")[0].no_flip_posterior == pytest.approx(1.0)
 
 
 def test_filter_f_outcomes_carry_no_parity_information():
@@ -352,6 +355,23 @@ def test_repeated_parity_trials_are_reproducible(basis20):
 def test_master_mode_budget(basis20):
     with pytest.raises(ValueError, match="budget"):
         repeated_parity(SystemParams(), "gf", 100, basis=basis20, mode="master")
+
+
+def test_master_mode_rejects_time_dependent_drive():
+    with pytest.raises(ValueError, match="effective drive only"):
+        repeated_parity(
+            SystemParams(), "ft", 1, basis=CavityBasis(8), mode="master",
+            drive_mode="time_dependent",
+        )
+
+
+def test_repeated_parity_rejects_invalid_initial_cavity(basis20, even_cat):
+    with pytest.raises(ValueError, match="norm"):
+        repeated_parity(QUIET, "gf", 1, trajectory_rng(1, 1, 0), basis20,
+                        initial_cavity=2.0 * even_cat)
+    with pytest.raises(ValueError, match="1-D"):
+        repeated_parity(QUIET, "gf", 1, basis=basis20, mode="master",
+                        initial_cavity=np.outer(even_cat, even_cat.conj()))
 
 
 @pytest.mark.slow

@@ -13,12 +13,10 @@ from catsim.tomography import (
     aligned_cat_fidelity,
     mle_reconstruct,
     normalize_grid,
-    read_grid_csv,
     simulate_tomography,
     square_grid,
     vacuum_contrast,
     wigner_scan,
-    write_grid_csv,
 )
 
 ALPHA = math.sqrt(2.0)
@@ -91,6 +89,22 @@ def test_scan_bounds_warning():
         wigner_scan(vac, [2.0], basis)
 
 
+def test_scan_rejects_invalid_states():
+    basis = CavityBasis(8)
+    cat = cat_state(ALPHA, basis)
+    with pytest.raises(ValueError, match="norm"):
+        wigner_scan(2.0 * cat, [0.0], basis)
+    with pytest.raises(ValueError, match="non-finite"):
+        wigner_scan(np.full(8, np.nan, dtype=complex), [0.0], basis)
+    rho = np.outer(cat, cat.conj())
+    with pytest.raises(ValueError, match="trace"):
+        wigner_scan(0.5 * rho, [0.0], basis)
+    with pytest.raises(ValueError, match="hermitian"):
+        wigner_scan(rho + np.triu(np.ones((8, 8)), 1), [0.0], basis)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        wigner_scan(np.diag([1.5, -0.5] + [0.0] * 6).astype(complex), [0.0], basis)
+
+
 def test_grid_values_bounded():
     basis = CavityBasis(20)
     rng = np.random.default_rng(3)
@@ -99,20 +113,6 @@ def test_grid_values_bounded():
     betas = square_grid(9, 1.9)
     grid = wigner_scan(psi, betas, basis)
     assert np.all(np.abs(grid.values) <= 2 / math.pi + 1e-9)
-
-
-def test_grid_csv_roundtrip(tmp_path):
-    grid = WignerGrid(
-        betas=np.array([0.25 - 1j, 0.0, 1.5j]),
-        values=np.array([0.1234567890123, -0.5, 0.0]),
-        shots=np.array([100, 0, 7]),
-    )
-    path = tmp_path / "grid.csv"
-    write_grid_csv(grid, path)
-    back = read_grid_csv(path)
-    assert np.array_equal(back.betas, grid.betas)
-    assert np.array_equal(back.values, grid.values)
-    assert np.array_equal(back.shots, grid.shots)
 
 
 def test_normalization_roundtrip():
