@@ -202,11 +202,10 @@ def _experiment_wigner(args, params):
     # Pad the state so the far grid corners stay inside the displacement
     # trust radius sqrt(dim)/2.
     work_dim = max(args.fock_dim, math.ceil(4.0 * float(np.abs(betas).max()) ** 2))
-    basis = CavityBasis(work_dim)
     state = np.zeros(work_dim, dtype=complex)
     state[: args.fock_dim] = cat_state(DEFAULT_ALPHA, CavityBasis(args.fock_dim))
     state /= np.linalg.norm(state)
-    grid = wigner_scan(state, betas, basis)
+    grid = wigner_scan(state, betas)
     data = {
         "re_beta": [float(b.real) for b in grid.betas],
         "im_beta": [float(b.imag) for b in grid.betas],

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "ANCILLA_LEVELS",
@@ -106,15 +106,24 @@ class CavityBasis:
         signs = 1.0 - 2.0 * (np.arange(self.dim) % 2)
         return np.diag(signs).astype(complex)
 
+    @cached_property
+    def _quadrature_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues Lambda and eigenvectors V of the truncated P = i(a - a+)."""
+        a = self.annihilation()
+        return np.linalg.eigh(1j * (a - a.conj().T))
+
     def displacement(self, beta: complex) -> np.ndarray:
         """Displacement operator exp(beta a+ - beta* a) on the truncated space.
 
         The generator is truncated before exponentiating, so the result is
         exactly unitary at any amplitude; it approximates the true
         displacement well while ``|beta|**2`` stays below ``dim / 4``.
+        With beta = r e^{i phi} the generator is R (i r P) R+ for
+        R = e^{i phi n}, so D = R V e^{i r Lambda} V+ R+ in closed form.
         """
-        a = self.annihilation()
-        return expm(beta * a.conj().T - np.conjugate(beta) * a)
+        vals, vecs = self._quadrature_eigh
+        left = np.exp(1j * np.angle(beta) * np.arange(self.dim))[:, None] * vecs
+        return (left * np.exp(1j * abs(beta) * vals)) @ left.conj().T
 
 
 def fock_state(n: int, basis: CavityBasis = CavityBasis()) -> np.ndarray:

@@ -347,11 +347,6 @@ def repeated_parity(
     drive only.
     """
     _check_protocol(protocol)
-    if initial_cavity is None:
-        cavity = cat_state(math.sqrt(2.0), basis)
-    else:
-        cavity = np.asarray(initial_cavity, dtype=complex)
-        validate_state(cavity)
     if mode == "master":
         if drive_mode != "effective":
             raise ValueError(f"master mode runs the effective drive only, not {drive_mode!r}")
@@ -361,12 +356,20 @@ def repeated_parity(
                 f"master mode needs {cost} density elements, over the "
                 f"budget of {MASTER_BUDGET}; use trajectories"
             )
-        return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive)
-    if mode != "trajectory":
+    elif mode != "trajectory":
         raise ValueError(f"unknown mode {mode!r}")
+    elif trials is not None and seed is None:
+        raise ValueError("trials requires a seed for independent streams")
+    elif trials is None and rng is None:
+        raise ValueError("single-record mode requires an rng")
+    if initial_cavity is None:
+        cavity = cat_state(math.sqrt(2.0), basis)
+    else:
+        cavity = np.asarray(initial_cavity, dtype=complex)
+        validate_state(cavity)
+    if mode == "master":
+        return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive)
     if trials is not None:
-        if seed is None:
-            raise ValueError("trials requires a seed for independent streams")
         return [
             _repeated_parity_once(
                 params,
@@ -380,8 +383,6 @@ def repeated_parity(
             )
             for trial in range(trials)
         ]
-    if rng is None:
-        raise ValueError("single-record mode requires an rng")
     return _repeated_parity_once(
         params, protocol, n_rounds, rng, basis, cavity, drive, drive_mode
     )
@@ -568,6 +569,8 @@ def preparation_statistics(
     protocol: str = "gf",
 ) -> PrepStats:
     """Success rate and heralded parity over independent preparation tries."""
+    if n_attempts < 1:
+        raise ValueError("n_attempts must be at least 1")
     signs = 1.0 - 2.0 * (np.arange(basis.dim) % 2)
     successes = 0
     parity_acc = 0.0

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,30 +77,20 @@ def square_grid(n: int = 21, extent: float = 2.5) -> np.ndarray:
     return (re + 1j * im).ravel()
 
 
-@lru_cache(maxsize=4096)
-def _displacement(beta: complex, dim: int) -> np.ndarray:
-    return CavityBasis(dim).displacement(beta)
-
-
-@lru_cache(maxsize=64)
-def _parity_signs(dim: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.arange(dim) % 2)
-
-
-def wigner_scan(rho_cavity: np.ndarray, betas, basis: CavityBasis | None = None) -> WignerGrid:
+def wigner_scan(rho_cavity: np.ndarray, betas) -> WignerGrid:
     """Exact Wigner values of a cavity state on a grid of displacements.
 
+    The truncated space is the state's own; the values are
+    Re Tr[O(beta) rho] with the observables that ``mle_reconstruct`` fits.
     Raises ValueError unless the state is a unit vector or a density matrix.
     """
     rho_cavity = np.asarray(rho_cavity)
     if rho_cavity.ndim == 1:
         validate_state(rho_cavity)
-        dim = rho_cavity.size
     else:
         validate_density(rho_cavity)
-        dim = rho_cavity.shape[0]
-    if basis is not None:
-        dim = basis.dim
+    rho = as_density(rho_cavity)
+    dim = rho.shape[0]
     betas = np.asarray(betas, dtype=complex).ravel()
     # Amplitude bound inside which a truncated Wigner value is trustworthy.
     radius = math.sqrt(dim / 4.0)
@@ -111,17 +100,7 @@ def wigner_scan(rho_cavity: np.ndarray, betas, basis: CavityBasis | None = None)
             f"trusted region at dim {dim}; edge values are approximate",
             stacklevel=2,
         )
-    signs = _parity_signs(dim)
-    values = np.empty(len(betas))
-    pure = rho_cavity.ndim == 1
-    for k, beta in enumerate(betas):
-        u = _displacement(complex(-beta), dim)
-        if pure:
-            moved = u @ rho_cavity
-            values[k] = TWO_OVER_PI * float(signs @ (np.abs(moved) ** 2))
-        else:
-            moved = u @ rho_cavity @ u.conj().T
-            values[k] = TWO_OVER_PI * float(np.real(signs @ np.diag(moved)))
+    values = _expectations(_observables(betas, dim), rho)
     return WignerGrid(betas=betas, values=values, shots=np.zeros(len(betas), dtype=int))
 
 
@@ -150,7 +129,7 @@ def simulate_tomography(
     block = state.reshape(4, dim)
     values = np.empty(len(betas))
     for k, beta in enumerate(betas):
-        u = _displacement(complex(-beta), dim)
+        u = basis.displacement(-beta)
         displaced = (block @ u.T).reshape(4 * dim)
         total = 0
         for _ in range(shots):
@@ -187,12 +166,19 @@ def normalize_grid(grid: WignerGrid, contrast: float) -> WignerGrid:
 
 
 def _observables(betas: np.ndarray, dim: int) -> np.ndarray:
-    signs = _parity_signs(dim)
+    """Displaced-parity observables (2/pi) D(beta) P D(beta)+, one per beta."""
+    basis = CavityBasis(dim)
+    signs = 1.0 - 2.0 * (np.arange(dim) % 2)
     obs = np.empty((len(betas), dim, dim), dtype=complex)
     for k, beta in enumerate(betas):
-        u = _displacement(complex(-beta), dim)
+        u = basis.displacement(-beta)
         obs[k] = TWO_OVER_PI * (u.conj().T * signs) @ u
     return obs
+
+
+def _expectations(obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re Tr[O_k rho] for every observable in the stack."""
+    return np.real(np.einsum("kij,ji->k", obs, rho))
 
 
 def _project_density(mat: np.ndarray) -> np.ndarray:
@@ -245,7 +231,7 @@ def mle_reconstruct(
     target = np.asarray(grid.values, dtype=float)
 
     rho = np.eye(dim, dtype=complex) / dim
-    predicted = np.real(np.einsum("kij,ji->k", obs, rho))
+    predicted = _expectations(obs, rho)
     residual = float(np.sum((predicted - target) ** 2))
     history = [residual]
     # Lipschitz-style scale for the first trial step.
@@ -258,7 +244,7 @@ def mle_reconstruct(
         trial_step = step
         for _ in range(40):
             candidate = _project_density(rho - trial_step * grad)
-            cand_pred = np.real(np.einsum("kij,ji->k", obs, candidate))
+            cand_pred = _expectations(obs, candidate)
             cand_res = float(np.sum((cand_pred - target) ** 2))
             if cand_res < residual:
                 improved = True

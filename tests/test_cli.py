@@ -48,6 +48,14 @@ def test_undersized_monte_carlo_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_prep_cat_without_attempts_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = cli.run(["prep-cat", "--trajectories", "-5", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "n_attempts" in capsys.readouterr().err
+
+
 def test_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
     def explode(curve):
         raise RuntimeError("fit did not converge")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
+from scipy.linalg import expm
 
 from catsim import hilbert
 from catsim.hilbert import (
@@ -24,7 +25,7 @@ from catsim.hilbert import (
     validate_density,
     validate_state,
 )
-from catsim.tomography import wigner_scan
+from catsim.tomography import square_grid, wigner_scan
 
 ALPHA = math.sqrt(2.0)
 
@@ -167,23 +168,36 @@ def test_displacement_inverse_composition():
     assert np.max(np.abs(both - np.eye(basis.dim))) < 1e-8
 
 
+@pytest.mark.parametrize("dim", [6, 20, 50])
+def test_displacement_matches_truncated_expm(dim):
+    # Oracle: expm of the truncated generator, on the default tomography
+    # grid (whose centre is beta = 0).
+    basis = CavityBasis(dim)
+    a = basis.annihilation()
+    betas = square_grid()
+    assert 0.0 in betas
+    for beta in betas:
+        oracle = expm(beta * a.conj().T - np.conj(beta) * a)
+        assert np.max(np.abs(basis.displacement(beta) - oracle)) <= 1e-13
+
+
 def test_wigner_vacuum_values():
     basis = CavityBasis(dim=20)
     vac = fock_state(0, basis)
-    values = wigner_scan(vac, [0.0, 0.5], basis).values
+    values = wigner_scan(vac, [0.0, 0.5]).values
     assert values[0] == pytest.approx(2.0 / math.pi, abs=1e-10)
     assert values[1] == pytest.approx(2.0 / math.pi * math.exp(-0.5), abs=1e-10)
 
 
-def test_wigner_cat_interference_fringe(basis20, even_cat):
+def test_wigner_cat_interference_fringe(even_cat):
     # Fringe minimum on the imaginary axis where cos(4 alpha y) = -1.
     y = math.pi / (4.0 * ALPHA)
-    assert wigner_scan(even_cat, [1j * y], basis20).values[0] < -0.25
+    assert wigner_scan(even_cat, [1j * y]).values[0] < -0.25
 
 
-def test_wigner_warns_outside_trusted_region(basis20, even_cat):
+def test_wigner_warns_outside_trusted_region(even_cat):
     with pytest.warns(UserWarning, match="trusted region"):
-        wigner_scan(even_cat, [3.0], basis20)
+        wigner_scan(even_cat, [3.0])
 
 
 def test_wigner_integrates_to_one():
@@ -194,7 +208,7 @@ def test_wigner_integrates_to_one():
     step = 0.2
     xs = np.arange(-2.4, 2.4 + 1e-9, step)
     betas = [x + 1j * y for x in xs for y in xs]
-    total = np.sum(wigner_scan(vac, betas, basis).values) * step * step
+    total = np.sum(wigner_scan(vac, betas).values) * step * step
     assert total == pytest.approx(1.0, abs=1e-4)
 
 

@@ -374,6 +374,23 @@ def test_repeated_parity_rejects_invalid_initial_cavity(basis20, even_cat):
                         initial_cavity=np.outer(even_cat, even_cat.conj()))
 
 
+def test_repeated_parity_reports_configuration_errors_before_building_the_cat():
+    # A dim-4 cavity cannot hold the default cat, so each call must name
+    # its configuration error before the cat is built.
+    small = CavityBasis(4)
+    cases = [
+        (1, dict(mode="master", drive_mode="time_dependent"), "effective drive only"),
+        (1, dict(mode="bogus"), "unknown mode"),
+        (1000, dict(mode="master"), "budget"),
+        (1, dict(trials=2), "seed"),
+        (1, dict(), "rng"),
+        (1, dict(rng=trajectory_rng(1, 1, 0)), "enlarge the Fock space"),
+    ]
+    for n_rounds, kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            repeated_parity(SystemParams(), "gf", n_rounds, basis=small, **kwargs)
+
+
 @pytest.mark.slow
 def test_master_matches_trajectory_statistics():
     # The postselected all-g weight from the density-matrix propagation
@@ -426,6 +443,12 @@ def test_noiseless_preparation_rate(basis20):
     expected = 0.5 * (1.0 + math.exp(-2 * ALPHA**2))
     assert stats.success_rate == pytest.approx(expected, abs=0.06)
     assert stats.mean_parity > 0.999
+
+
+@pytest.mark.parametrize("n_attempts", [0, -5])
+def test_preparation_statistics_rejects_no_attempts(n_attempts):
+    with pytest.raises(ValueError, match="n_attempts"):
+        preparation_statistics(QUIET, seed=1, n_attempts=n_attempts, basis=CavityBasis(8))
 
 
 @pytest.mark.slow

@@ -44,10 +44,9 @@ def test_square_grid_layout():
 
 
 def test_vacuum_scan_peak():
-    basis = CavityBasis(16)
     vac = np.zeros(16, dtype=complex)
     vac[0] = 1.0
-    grid = wigner_scan(vac, [0.0], basis)
+    grid = wigner_scan(vac, [0.0])
     assert grid.values[0] == pytest.approx(2 / math.pi, abs=1e-12)
     assert grid.shots[0] == 0
 
@@ -60,7 +59,7 @@ def test_cat_fringe_period():
     period = math.pi / (2 * ALPHA)
     y0 = 0.15
     grid = wigner_scan(
-        cat, [1j * y0, 1j * (y0 + period / 2), 1j * (y0 + period)], basis
+        cat, [1j * y0, 1j * (y0 + period / 2), 1j * (y0 + period)]
     )
     first, half, full = grid.values
     assert first > 0.05
@@ -76,43 +75,43 @@ def test_cat_wigner_integrates_to_one():
     re, im = np.meshgrid(axis, axis)
     betas = (re + 1j * im).ravel()
     with pytest.warns(UserWarning, match="trusted region"):
-        grid = wigner_scan(cat, betas, basis)
+        grid = wigner_scan(cat, betas)
     integral = np.sum(grid.values) * step * step
     assert integral == pytest.approx(1.0, abs=0.02)
 
 
 def test_scan_bounds_warning():
-    basis = CavityBasis(9)
     vac = np.zeros(9, dtype=complex)
     vac[0] = 1.0
     with pytest.warns(UserWarning, match="trusted region"):
-        wigner_scan(vac, [2.0], basis)
+        wigner_scan(vac, [2.0])
 
 
 def test_scan_rejects_invalid_states():
     basis = CavityBasis(8)
     cat = cat_state(ALPHA, basis)
     with pytest.raises(ValueError, match="norm"):
-        wigner_scan(2.0 * cat, [0.0], basis)
+        wigner_scan(2.0 * cat, [0.0])
     with pytest.raises(ValueError, match="non-finite"):
-        wigner_scan(np.full(8, np.nan, dtype=complex), [0.0], basis)
+        wigner_scan(np.full(8, np.nan, dtype=complex), [0.0])
     rho = np.outer(cat, cat.conj())
     with pytest.raises(ValueError, match="trace"):
-        wigner_scan(0.5 * rho, [0.0], basis)
+        wigner_scan(0.5 * rho, [0.0])
     with pytest.raises(ValueError, match="hermitian"):
-        wigner_scan(rho + np.triu(np.ones((8, 8)), 1), [0.0], basis)
+        wigner_scan(rho + np.triu(np.ones((8, 8)), 1), [0.0])
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        wigner_scan(np.diag([1.5, -0.5] + [0.0] * 6).astype(complex), [0.0], basis)
+        wigner_scan(np.diag([1.5, -0.5] + [0.0] * 6).astype(complex), [0.0])
 
 
 def test_grid_values_bounded():
-    basis = CavityBasis(20)
     rng = np.random.default_rng(3)
     psi = rng.normal(size=20) + 1j * rng.normal(size=20)
     psi /= np.linalg.norm(psi)
     betas = square_grid(9, 1.9)
-    grid = wigner_scan(psi, betas, basis)
+    grid = wigner_scan(psi, betas)
     assert np.all(np.abs(grid.values) <= 2 / math.pi + 1e-9)
+    mixed = wigner_scan(np.outer(psi, psi.conj()), betas)
+    assert np.max(np.abs(mixed.values - grid.values)) <= 1e-14
 
 
 def test_normalization_roundtrip():
@@ -131,7 +130,7 @@ def test_mle_recovers_cat():
     dim = 12
     basis = CavityBasis(dim)
     cat = cat_state(ALPHA, basis)
-    grid = wigner_scan(cat, square_grid(21, 2.5), basis)
+    grid = wigner_scan(cat, square_grid(21, 2.5))
     result = mle_reconstruct(grid, dim)
     assert state_fidelity(cat, result.rho) > 0.999
     assert np.allclose(result.rho, result.rho.conj().T, atol=1e-10)
@@ -145,7 +144,7 @@ def test_mle_residual_monotone_and_noise_robust():
     dim = 10
     basis = CavityBasis(dim)
     cat = cat_state(ALPHA, basis)
-    grid = wigner_scan(cat, square_grid(21, 2.5), basis)
+    grid = wigner_scan(cat, square_grid(21, 2.5))
     rng = np.random.default_rng(11)
     noisy = WignerGrid(
         betas=grid.betas,
@@ -161,10 +160,9 @@ def test_mle_residual_monotone_and_noise_robust():
 def test_mle_recovers_random_pure_states():
     rng = np.random.default_rng(11)
     for dim in (6, 10, 12):
-        basis = CavityBasis(dim)
         a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         a /= np.linalg.norm(a)
-        grid = wigner_scan(np.outer(a, a.conj()), square_grid(21, 2.5), basis)
+        grid = wigner_scan(np.outer(a, a.conj()), square_grid(21, 2.5))
         result = mle_reconstruct(grid, dim)
         assert float(np.real(a.conj() @ result.rho @ a)) > 0.9999
         assert result.residual < 1e-10
@@ -176,16 +174,15 @@ def test_mle_mixed_state_matches_observations():
     # so a mixed state is checked in observation space, not state space.
     rng = np.random.default_rng(11)
     dim = 6
-    basis = CavityBasis(dim)
     a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     a /= np.linalg.norm(a)
     b -= np.vdot(a, b) * a
     b /= np.linalg.norm(b)
     rho = 0.6 * np.outer(a, a.conj()) + 0.4 * np.outer(b, b.conj())
-    grid = wigner_scan(rho, square_grid(21, 2.5), basis)
+    grid = wigner_scan(rho, square_grid(21, 2.5))
     result = mle_reconstruct(grid, dim, max_iterations=20000, tolerance=1e-14)
-    rescan = wigner_scan(result.rho, grid.betas, basis)
+    rescan = wigner_scan(result.rho, grid.betas)
     assert np.abs(rescan.values - grid.values).max() < 1e-8
     assert np.trace(result.rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(result.rho).min() > -1e-9
@@ -245,7 +242,7 @@ def test_simulated_grid_matches_exact_when_noiseless():
     basis = CavityBasis(20)
     cat = cat_state(ALPHA, basis)
     betas = np.array([0.0, 0.5, 1j * 0.555, 1.0 + 0.5j])
-    exact = wigner_scan(cat, betas, basis)
+    exact = wigner_scan(cat, betas)
     rng = trajectory_rng(13, 4, 0)
     shots = 400
     sim = simulate_tomography(joint_state("g", cat), betas, QUIET, shots, rng, basis)
