@@ -22,8 +22,12 @@ import numpy as np
 
 from .dynamics import (
     JumpRecord,
+    RowStreams,
+    _draw_index,
+    _row_blocks,
     evolve_master,
     evolve_unitary,
+    run_trajectories,
     run_trajectory,
     trajectory_rng,
 )
@@ -50,6 +54,7 @@ __all__ = [
     "InjectedError",
     "MASTER_BUDGET",
     "MapResult",
+    "OUTCOMES",
     "PROTOCOLS",
     "PROTOCOL_INDEX",
     "ParityFilter",
@@ -82,6 +87,8 @@ TOMO_STREAM = 4
 ASSIGNMENT_FIDELITY = {"ge": 0.83, "gf": 0.865, "ft": 0.82}
 F_OUTCOME_RATE = {"ge": 0.005, "gf": 0.08, "ft": 0.10}
 
+# Reported outcomes, indexed as the rows of the confusion matrix.
+OUTCOMES = ("g", "e", "f")
 _EVENT_BY_OUTCOME = {"g": "no_error", "e": "dephasing", "f": "relaxation"}
 
 # Number of density-matrix elements a master-mode repetition may touch
@@ -176,12 +183,15 @@ def _readout_context(params, basis):
     return ham, channels
 
 
-_PULSES = {kind: ancilla_rotation(kind) for kind in ("ge_half", "ge_half_inv", "ef_full")}
-
-
-def _pulse(kind, psi, dim):
-    """Apply an ancilla pulse to the (4, dim) view of a joint state."""
-    return (_PULSES[kind] @ psi.reshape(4, dim)).reshape(4 * dim)
+# The pulses before the wait as one 4x4 matrix: ge_half, then for gf and
+# ft the e-f swap.  The pulses after the wait undo them: the conjugate
+# transpose, which is exactly ef_full then ge_half_inv.
+_OPENING = {
+    protocol: (ancilla_rotation("ef_full") if protocol != "ge" else np.eye(4))
+    @ ancilla_rotation("ge_half")
+    for protocol in PROTOCOLS
+}
+_CLOSING = {protocol: u.conj().T for protocol, u in _OPENING.items()}
 
 
 def _wait_segment(psi, ham, channels, duration, rng, injected, basis):
@@ -243,14 +253,19 @@ def parity_map(
     wait = map_duration(params, protocol)
 
     dim = basis.dim
-    psi = _pulse("ge_half", np.asarray(state, dtype=complex), dim)
-    if protocol in ("gf", "ft"):
-        psi = _pulse("ef_full", psi, dim)
-    psi, jumps = _wait_segment(psi, ham, channels, wait, rng, injected, basis)
-    if protocol in ("gf", "ft"):
-        psi = _pulse("ef_full", psi, dim)
-    psi = _pulse("ge_half_inv", psi, dim)
-    return psi, tuple(jumps)
+    psi = _OPENING[protocol] @ np.asarray(state, dtype=complex).reshape(4, dim)
+    psi, jumps = _wait_segment(psi.reshape(4 * dim), ham, channels, wait, rng, injected, basis)
+    return (_CLOSING[protocol] @ psi.reshape(4, dim)).reshape(4 * dim), tuple(jumps)
+
+
+def _map_rows(stack, params, protocol, basis, streams, drive=None, drive_mode="effective"):
+    """``parity_map`` with a trajectory wait on a (rows, 4, dim) stack."""
+    ham, channels = _map_context(params, basis, protocol, drive, drive_mode)
+    stack = _OPENING[protocol] @ stack
+    flat, jumps = run_trajectories(
+        stack.reshape(len(stack), -1), ham, channels, map_duration(params, protocol), streams
+    )
+    return _CLOSING[protocol] @ flat.reshape(stack.shape), jumps
 
 
 def classify_event(outcome: str, protocol: str) -> str:
@@ -285,34 +300,42 @@ def readout_and_reset(
     frame of the reported level before the ancilla is reset to g.
     """
     _check_protocol(protocol)
-    ham, channels = _readout_context(params, basis)
-    res = run_trajectory(state, ham, channels, params.t_ro, rng)
-
     dim = basis.dim
-    block = res.state.reshape(4, dim)
-    pops = np.sum(np.abs(block) ** 2, axis=1)
-    level = int(np.searchsorted(np.cumsum(pops) / pops.sum(), rng.random(), side="right"))
-    level = min(level, 3)
-    cavity = block[level] / np.linalg.norm(block[level])
-    true_level = ("g", "e", "f", "f")[level]
-
-    row = params.assignment_error[("g", "e", "f").index(true_level)]
-    reported = ("g", "e", "f")[
-        min(int(np.searchsorted(np.cumsum(row), rng.random(), side="right")), 2)
-    ]
-
-    frame_pull = {"g": 0.0, "e": params.chi_e, "f": params.chi_f}[reported]
-    n = np.arange(dim)
-    cavity = cavity * np.exp(2j * math.pi * frame_pull * n * params.t_ro)
-
-    out = np.zeros(4 * dim, dtype=complex)
-    out[:dim] = cavity
+    stack = np.asarray(state, dtype=complex).reshape(1, 4, dim)
+    out, truth, reported, jumps = _readout_rows(stack, params, basis, RowStreams([rng]))
     return MapResult(
-        state=out,
-        outcome=reported,
-        true_level=true_level,
-        jumps=res.jumps,
+        state=out[0].reshape(4 * dim),
+        outcome=OUTCOMES[reported[0]],
+        true_level=OUTCOMES[truth[0]],
+        jumps=jumps[0],
     )
+
+
+def _readout_rows(stack, params, basis, streams):
+    """``readout_and_reset`` on a (rows, 4, dim) stack.
+
+    Returns the reset stack, the true and the reported level of each row
+    as indices into ``OUTCOMES``, and each row's jump records.
+    """
+    ham, channels = _readout_context(params, basis)
+    flat, jumps = run_trajectories(
+        stack.reshape(len(stack), -1), ham, channels, params.t_ro, streams
+    )
+    block = flat.reshape(stack.shape)
+    pops = np.sum(np.abs(block) ** 2, axis=2)
+    level = _draw_index(np.cumsum(pops, axis=1) / pops.sum(axis=1, keepdims=True), streams)
+    cavity = block[np.arange(len(block)), level]
+    cavity /= np.linalg.norm(cavity, axis=1, keepdims=True)
+    truth = np.minimum(level, 2)
+    confusion = np.cumsum(np.array(params.assignment_error), axis=1)
+    reported = _draw_index(confusion[truth], streams)
+
+    frame_pull = np.array([0.0, params.chi_e, params.chi_f])[reported]
+    n = np.arange(basis.dim)
+    cavity *= np.exp(2j * math.pi * frame_pull[:, None] * n * params.t_ro)
+    out = np.zeros_like(block)
+    out[:, 0] = cavity
+    return out, truth, reported, jumps
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,11 +363,12 @@ def repeated_parity(
 
     Trajectory mode returns one record (a list of rounds with pure cavity
     snapshots) when ``trials`` is None, or a list of records drawn from
-    independent seeded streams when ``trials`` is given.  Master mode
-    propagates the full density matrix and returns the postselected all-g
-    ensemble; its cost grows as rounds times the squared joint dimension,
-    so it is budget-capped to small problems, and it runs the effective
-    drive only.
+    independent seeded streams when ``trials`` is given; the trials run
+    as rows of one batch, and each gives the record it gives alone.
+    Master mode propagates the full density matrix and returns the
+    postselected all-g ensemble; its cost grows as rounds times the
+    squared joint dimension, so it is budget-capped to small problems,
+    and it runs the effective drive only.
     """
     _check_protocol(protocol)
     if mode == "master":
@@ -369,44 +393,41 @@ def repeated_parity(
         validate_state(cavity)
     if mode == "master":
         return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive)
-    if trials is not None:
-        return [
-            _repeated_parity_once(
-                params,
-                protocol,
-                n_rounds,
-                trajectory_rng(seed, PROTOCOL_INDEX[protocol], trial),
-                basis,
-                cavity,
-                drive,
-                drive_mode,
-            )
-            for trial in range(trials)
-        ]
-    return _repeated_parity_once(
-        params, protocol, n_rounds, rng, basis, cavity, drive, drive_mode
-    )
+    if trials is None:
+        return _records(
+            params, protocol, n_rounds, basis, cavity, drive, drive_mode, RowStreams([rng])
+        )[0]
+    records = []
+    for block in _row_blocks(trials):
+        streams = RowStreams(
+            [trajectory_rng(seed, PROTOCOL_INDEX[protocol], trial) for trial in block]
+        )
+        records += _records(params, protocol, n_rounds, basis, cavity, drive, drive_mode, streams)
+    return records
 
 
-def _repeated_parity_once(params, protocol, n_rounds, rng, basis, cavity, drive, drive_mode="effective"):
-    psi = joint_state("g", cavity)
-    rounds = []
+def _records(params, protocol, n_rounds, basis, cavity, drive, drive_mode, streams):
+    """Trajectory records of ``n_rounds`` rounds, one per stream."""
+    stack = np.zeros((len(streams), 4, basis.dim), dtype=complex)
+    stack[:, 0] = cavity
+    records = [[] for _ in range(len(streams))]
     for _ in range(n_rounds):
-        psi, map_jumps = parity_map(
-            psi, params, protocol, basis, rng=rng, drive=drive, drive_mode=drive_mode
+        stack, map_jumps = _map_rows(
+            stack, params, protocol, basis, streams, drive, drive_mode
         )
-        result = readout_and_reset(psi, params, basis, rng, protocol)
-        psi = result.state
-        rounds.append(
-            ParityRound(
-                outcome=result.outcome,
-                true_level=result.true_level,
-                event=classify_event(result.outcome, protocol),
-                cavity=result.state[: basis.dim].copy(),
-                jumps=tuple(map_jumps) + result.jumps,
+        stack, truth, reported, readout_jumps = _readout_rows(stack, params, basis, streams)
+        for i, record in enumerate(records):
+            outcome = OUTCOMES[reported[i]]
+            record.append(
+                ParityRound(
+                    outcome=outcome,
+                    true_level=OUTCOMES[truth[i]],
+                    event=classify_event(outcome, protocol),
+                    cavity=stack[i, 0].copy(),
+                    jumps=map_jumps[i] + readout_jumps[i],
+                )
             )
-        )
-    return rounds
+    return records
 
 
 def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive):
@@ -417,18 +438,15 @@ def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive):
 
     psi0 = joint_state("g", cavity)
     rho = np.outer(psi0, psi0.conj())
-    opening = ("ge_half", "ef_full") if protocol in ("gf", "ft") else ("ge_half",)
-    pulses = [lift_ancilla(ancilla_rotation(kind), dim) for kind in opening]
-    closing = [u.conj().T for u in reversed(pulses)]
+    opening = lift_ancilla(_OPENING[protocol], dim)
+    closing = lift_ancilla(_CLOSING[protocol], dim)
 
     survival = 1.0
     wait = map_duration(params, protocol)
     for _ in range(n_rounds):
-        for u in pulses:
-            rho = u @ rho @ u.conj().T
+        rho = opening @ rho @ closing
         rho = evolve_master(rho, ham, channels, wait)
-        for u in closing:
-            rho = u @ rho @ u.conj().T
+        rho = closing @ rho @ opening
         rho = evolve_master(rho, ro_ham, ro_channels, params.t_ro)
         blocks = rho.reshape(4, dim, 4, dim)
         # Postselect the reported-g branch: h folds into the f confusion row.
@@ -544,19 +562,36 @@ def prepare_cat(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
+    streams = RowStreams([rng])
     for attempt in range(1, max_attempts + 1):
-        psi = joint_state("g", coherent_state(alpha, basis))
-        good = True
-        for _ in range(rounds):
-            psi, _ = parity_map(psi, params, protocol, basis, rng=rng)
-            result = readout_and_reset(psi, params, basis, rng, protocol)
-            psi = result.state
-            if result.outcome != "g":
-                good = False
-                break
-        if good:
-            return PrepResult(state=psi, success=True, attempts=attempt)
-    return PrepResult(state=psi, success=False, attempts=max_attempts)
+        states, success = _herald_rows(params, basis, alpha, rounds, protocol, streams)
+        if success[0]:
+            return PrepResult(state=states[0], success=True, attempts=attempt)
+    return PrepResult(state=states[0], success=False, attempts=max_attempts)
+
+
+def _herald_rows(params, basis, alpha, rounds, protocol, streams):
+    """One heralding attempt per stream, all at once.
+
+    Every row starts from the displaced vacuum and leaves at its first
+    outcome other than g.  Returns each row's last joint state and
+    whether it heralded.
+    """
+    stack = np.zeros((len(streams), 4, basis.dim), dtype=complex)
+    stack[:, 0] = coherent_state(alpha, basis)
+    success = np.ones(len(streams), dtype=bool)
+    live = np.arange(len(streams))
+    for _ in range(rounds):
+        part = streams.take(live)
+        mapped, _ = _map_rows(stack[live], params, protocol, basis, part)
+        read, _, reported, _ = _readout_rows(mapped, params, basis, part)
+        stack[live] = read
+        failed = reported != 0
+        success[live[failed]] = False
+        live = live[~failed]
+        if not live.size:
+            break
+    return stack.reshape(len(streams), -1), success
 
 
 def preparation_statistics(
@@ -568,21 +603,39 @@ def preparation_statistics(
     rounds: int = 4,
     protocol: str = "gf",
 ) -> PrepStats:
-    """Success rate and heralded parity over independent preparation tries."""
+    """Success rate and heralded parity over independent preparation tries.
+
+    The tries run as rows of one batch, each on its own seeded stream.
+    """
     if n_attempts < 1:
         raise ValueError("n_attempts must be at least 1")
     signs = 1.0 - 2.0 * (np.arange(basis.dim) % 2)
     successes = 0
     parity_acc = 0.0
-    for attempt in range(n_attempts):
-        rng = trajectory_rng(seed, PREP_STREAM, attempt)
-        res = prepare_cat(params, rng, basis, alpha, rounds, protocol, max_attempts=1)
-        if not res.success:
-            continue
-        successes += 1
-        parity_acc += float(signs @ (np.abs(res.cavity) ** 2))
+    for block in _row_blocks(n_attempts):
+        streams = RowStreams([trajectory_rng(seed, PREP_STREAM, attempt) for attempt in block])
+        states, success = _herald_rows(params, basis, alpha, rounds, protocol, streams)
+        cavities = states[success, : basis.dim]
+        successes += len(cavities)
+        parity_acc += float(np.sum(np.abs(cavities) ** 2 @ signs))
     if successes == 0:
         return PrepStats(0.0, math.nan, n_attempts, 0)
     return PrepStats(
         successes / n_attempts, parity_acc / successes, n_attempts, successes
     )
+
+
+def _shot_outcomes(states, shots, params, basis, rng, protocol):
+    """Reported outcome of ``shots`` parity maps and readouts of each state.
+
+    ``states`` is a (points, 4, dim) stack; the shots run as rows that
+    share ``rng``, point by point.  Returns (points, shots) indices into
+    ``OUTCOMES``.
+    """
+    reported = np.empty(len(states) * shots, dtype=int)
+    for block in _row_blocks(reported.size):
+        rows = np.array(block)
+        streams = RowStreams([rng] * rows.size)
+        mapped, _ = _map_rows(states[rows // shots], params, protocol, basis, streams)
+        reported[rows] = _readout_rows(mapped, params, basis, streams)[2]
+    return reported.reshape(len(states), shots)

@@ -10,6 +10,7 @@ contrast measured on vacuum before reconstruction.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .hilbert import (
     validate_state,
 )
 from .model import SystemParams
-from .protocols import parity_map, readout_and_reset
+from .protocols import _shot_outcomes
 
 __all__ = [
     "ReconstructionResult",
@@ -117,7 +118,8 @@ def simulate_tomography(
 
     ``state`` is a joint pure state with the ancilla in g.  Each point
     displaces the cavity, runs one parity map and readout under the full
-    noise model, and scores +1 for a reported g.  Values carry the
+    noise model, and scores +1 for a reported g.  The shots of all
+    points run as rows of one batch that share ``rng``.  Values carry the
     finite readout contrast; divide by ``vacuum_contrast`` to compare
     with exact scans.
     """
@@ -125,18 +127,11 @@ def simulate_tomography(
         raise ValueError("shots must be at least 1")
     state = np.asarray(state, dtype=complex)
     betas = np.asarray(betas, dtype=complex).ravel()
-    dim = basis.dim
-    block = state.reshape(4, dim)
-    values = np.empty(len(betas))
-    for k, beta in enumerate(betas):
-        u = basis.displacement(-beta)
-        displaced = (block @ u.T).reshape(4 * dim)
-        total = 0
-        for _ in range(shots):
-            psi, _ = parity_map(displaced.copy(), params, protocol, basis, rng=rng)
-            result = readout_and_reset(psi, params, basis, rng, protocol)
-            total += 1 if result.outcome == "g" else -1
-        values[k] = TWO_OVER_PI * total / shots
+    block = state.reshape(4, basis.dim)
+    displaced = np.array([block @ basis.displacement(-beta).T for beta in betas])
+    outcomes = _shot_outcomes(displaced, shots, params, basis, rng, protocol)
+    totals = np.sum(np.where(outcomes == 0, 1, -1), axis=1)
+    values = TWO_OVER_PI * totals / shots
     return WignerGrid(
         betas=betas, values=values, shots=np.full(len(betas), shots, dtype=int)
     )
@@ -296,20 +291,38 @@ def aligned_cat_fidelity(
     Scans 64 rotation angles on [0, pi), the period of an even cat, then
     refines the best bracket by golden-section search.  Returns
     ``(theta_star, fidelity)``.
+
+    With v = exp(-i theta n) ref, F(theta) = <v|rho|v> is the sum of
+    c_k exp(i k theta), where c_k sums the entries (m, n) with m - n = k
+    of conj(ref) rho ref; rho is Hermitian, so c_-k = conj(c_k) and
+    F(theta) = Re sum_{k >= 0} p_k exp(i k theta) with p_0 = c_0 and
+    p_k = 2 c_k, a polynomial in exp(i theta): the scan is one product,
+    and each golden-section step one Horner evaluation of dim terms.
     """
     rho = as_density(np.asarray(rho_cavity, dtype=complex))
     dim = rho.shape[0]
     if basis is None:
         basis = CavityBasis(dim)
     reference = cat_state(alpha, basis)
-    phases = np.arange(dim)
+    weighted = reference.conj()[:, None] * rho * reference
+    n = np.arange(dim)
+    lag = np.subtract.outer(n, n)
+    lower = lag >= 0
+    coeffs = np.bincount(lag[lower], weighted.real[lower], dim) + 1j * np.bincount(
+        lag[lower], weighted.imag[lower], dim
+    )
+    coeffs[1:] *= 2.0
+    highest_first = coeffs[::-1].tolist()
 
     def fidelity(theta: float) -> float:
-        v = np.exp(-1j * theta * phases) * reference
-        return float(np.real(np.vdot(v, rho @ v)))
+        z = cmath.exp(1j * theta)
+        value = 0j
+        for p in highest_first:
+            value = value * z + p
+        return value.real
 
     thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
-    coarse = np.array([fidelity(t) for t in thetas])
+    coarse = np.real(np.exp(1j * np.outer(thetas, n)) @ coeffs)
     best = int(np.argmax(coarse))
     span = math.pi / 64
     lo = thetas[best] - span

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import brentq
 from scipy.stats import kstest
+
+from catsim import dynamics
 
 from catsim.hilbert import CavityBasis, cat_state, joint_index, joint_state
 from catsim.model import (
@@ -191,6 +194,91 @@ def test_trajectory_channel_competition():
     assert frac_fast == pytest.approx(0.75, abs=0.02)
 
 
+def test_jump_time_solve_matches_brentq_on_stiff_mixtures():
+    # f and h decay at 1e5-1e6 /s beside cavity loss near 1e3 /s per
+    # photon; each row's weight sits on one of those levels (every other
+    # entry is zero), and r lies just above or just below the survival
+    # S(T) at the point T, so the root falls just before or just after T.
+    rng = np.random.default_rng(2024)
+    dim = 10
+    n = np.arange(dim)
+    rows = 100
+    cases = 0
+    worst = 0.0
+    for _ in range(100):
+        ancilla = np.concatenate([rng.uniform(1e3, 1e5, 2), rng.uniform(1e5, 1e6, 2)])
+        gamma = (ancilla[:, None] + rng.uniform(5e2, 2e3) * n).ravel()
+        level = rng.integers(2, 4, size=rows)
+        weights = np.zeros((rows, 4 * dim))
+        amplitudes = rng.random((rows, dim)) ** 4
+        weights[np.arange(rows)[:, None], level[:, None] * dim + n] = (
+            amplitudes / amplitudes.sum(axis=1, keepdims=True)
+        )
+        point = 10.0 ** rng.uniform(-7, -5, rows)
+        at_point = np.sum(weights * np.exp(-gamma * point[:, None]), axis=1)
+        offset = 10.0 ** rng.uniform(-12, -3, rows)
+        r = at_point * np.where(rng.random(rows) < 0.5, 1.0 + offset, 1.0 - offset)
+        times, iterations = dynamics._jump_times(weights, gamma, r, 2.0 * point)
+        assert iterations < dynamics._NEWTON_CAP
+        for w, ri, end, t in zip(weights, r, 2.0 * point, times):
+            reference = brentq(
+                lambda x: float(w @ np.exp(-gamma * x)) - ri, 0.0, end,
+                xtol=1e-30, rtol=8.9e-16,
+            )
+            worst = max(worst, abs(t - reference) / reference)
+            cases += 1
+    assert cases == 10_000
+    assert worst <= 1e-12
+
+
+def test_jump_time_solve_stops_when_the_root_is_near_zero():
+    # With r just below S(0) = 1 the root lies so close to t = 0 that
+    # round-off in log S moves t by more than any fixed fraction of t; the
+    # solve still stops, with S(t) at r to round-off.
+    rng = np.random.default_rng(7)
+    rows = 2000
+    gamma = rng.uniform(1e3, 1e6, 40)
+    weights = rng.random((rows, 40))
+    weights /= weights.sum(axis=1, keepdims=True)
+    r = weights.sum(axis=1) * (1.0 - 10.0 ** rng.uniform(-15, -6, rows))
+    times, iterations = dynamics._jump_times(weights, gamma, r, np.full(rows, 1e-6))
+    assert iterations < dynamics._NEWTON_CAP
+    assert np.all(times > 0.0)
+    survival = np.sum(weights * np.exp(-gamma * times[:, None]), axis=1)
+    assert np.max(np.abs(survival - r)) <= 1e-14
+
+
+def test_batched_rows_match_single_rows():
+    # A row of a batch with its own stream ends exactly as it does alone,
+    # whether its neighbours jump or not, and a generator shared by rows
+    # reruns byte for byte from the same seed.
+    params = SystemParams()
+    basis = CavityBasis(dim=8)
+    ham = build_hamiltonian(params, basis)
+    channels = collapse_channels(params, basis)
+    psi = joint_state("e", cat_state(1.0, basis))
+    rows = np.tile(psi, (12, 1))
+    batch, jumps = dynamics.run_trajectories(
+        rows, ham, channels, 20e-6,
+        dynamics.RowStreams([trajectory_rng(4, 0, i) for i in range(12)]),
+    )
+    assert any(jumps) and not all(jumps)
+    for i in range(12):
+        alone = run_trajectory(psi, ham, channels, 20e-6, trajectory_rng(4, 0, i))
+        assert [j.label for j in jumps[i]] == [j.label for j in alone.jumps]
+        assert np.max(np.abs(batch[i] - alone.state)) <= 1e-12
+
+    def shared_run():
+        rng = trajectory_rng(4, 1, 0)
+        streams = dynamics.RowStreams([rng, rng, trajectory_rng(4, 0, 3)])
+        return dynamics.run_trajectories(rows[:3], ham, channels, 20e-6, streams)
+
+    first, second = shared_run(), shared_run()
+    assert first[0].tobytes() == second[0].tobytes()
+    assert first[1] == second[1]
+    assert np.max(np.abs(first[0][2] - batch[3])) <= 1e-12
+
+
 def test_trajectory_ensemble_matches_master():
     params = SystemParams()
     basis = CavityBasis(dim=6)
@@ -253,6 +341,13 @@ def test_trajectory_rng_streams():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    # Keys at or past 2**63 stay exact: trial 0 and trial 1 of protocol
+    # 2**31 are distinct streams.
+    high = trajectory_rng(9, 2**31, 0).random(4)
+    assert not np.array_equal(high, trajectory_rng(9, 2**31, 1).random(4))
+    # Every key in use keeps its stream: (seed, protocol << 32 | trial).
+    plain = np.random.Generator(np.random.Philox(key=[9, (1 << 32) | 7]))
+    assert np.array_equal(a, plain.random(4))
 
 
 def test_trajectory_rng_rejects_indices_outside_32_bits():

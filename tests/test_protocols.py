@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from catsim import protocols
-from catsim.dynamics import trajectory_rng
+from catsim.dynamics import RowStreams, trajectory_rng
 from catsim.hilbert import (
     CavityBasis,
     cat_overlap,
     cat_state,
+    coherent_state,
     joint_state,
     lift_ancilla,
     reduce_to_cavity,
@@ -90,13 +91,33 @@ def test_rotation_unitarity():
 @pytest.mark.parametrize("dim", [6, 20])
 @pytest.mark.parametrize("kind", PULSES)
 def test_pulse_on_ancilla_axis_matches_lifted_matrix(kind, dim):
-    # parity_map applies each pulse as a 4x4 product on the (4, dim) view;
-    # the oracle is the same pulse lifted to the joint space.
+    # parity_map applies each pulse as a 4x4 product on the (4, dim) view,
+    # and the batched rounds on every row of a (rows, 4, dim) stack; the
+    # oracle is the same pulse lifted to the joint space.
     rng = np.random.default_rng(dim)
-    psi = rng.normal(size=4 * dim) + 1j * rng.normal(size=4 * dim)
-    psi /= np.linalg.norm(psi)
-    lifted = lift_ancilla(ancilla_rotation(kind), dim) @ psi
-    assert np.max(np.abs(protocols._pulse(kind, psi, dim) - lifted)) <= 1e-15
+    psi = rng.normal(size=(3, 4 * dim)) + 1j * rng.normal(size=(3, 4 * dim))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    u = ancilla_rotation(kind)
+    lifted = psi @ lift_ancilla(u, dim).T
+    single = (u @ psi[0].reshape(4, dim)).reshape(4 * dim)
+    assert np.max(np.abs(single - lifted[0])) <= 1e-15
+    stack = (u @ psi.reshape(3, 4, dim)).reshape(3, 4 * dim)
+    assert np.max(np.abs(stack - lifted)) <= 1e-15
+
+
+@pytest.mark.parametrize("protocol", ["ge", "gf", "ft"])
+def test_opening_pulses_are_the_pulse_sequence(protocol):
+    # The pulses before the wait act as one matrix, and the pulses after
+    # it as its conjugate transpose; both equal the pulse-by-pulse product.
+    kinds = ("ge_half",) if protocol == "ge" else ("ge_half", "ef_full")
+    opening = np.eye(4, dtype=complex)
+    for kind in kinds:
+        opening = ancilla_rotation(kind) @ opening
+    closing = np.eye(4, dtype=complex)
+    for kind in reversed(kinds):
+        closing = ancilla_rotation(kind if kind == "ef_full" else "ge_half_inv") @ closing
+    assert np.array_equal(protocols._OPENING[protocol], opening)
+    assert np.array_equal(protocols._CLOSING[protocol], closing)
 
 
 @pytest.mark.parametrize("protocol", ["ge", "gf", "ft"])
@@ -350,6 +371,84 @@ def test_repeated_parity_trials_are_reproducible(basis20):
         repeated_parity(SystemParams(), "gf", 3, basis=basis20, trials=4)
     with pytest.raises(ValueError, match="rng"):
         repeated_parity(SystemParams(), "gf", 3, basis=basis20)
+
+
+@pytest.mark.parametrize("protocol", ["ge", "gf", "ft"])
+def test_batched_records_match_records_run_alone(basis20, protocol):
+    # Every trial of a batch draws from its own stream, so it gives the
+    # record it gives when run alone on that stream.
+    params = SystemParams()
+    batch = repeated_parity(params, protocol, 12, basis=basis20, trials=10, seed=3)
+    jumped = 0
+    for trial, record in enumerate(batch):
+        rng = trajectory_rng(3, protocols.PROTOCOL_INDEX[protocol], trial)
+        alone = repeated_parity(params, protocol, 12, rng=rng, basis=basis20)
+        for got, want in zip(record, alone, strict=True):
+            assert (got.outcome, got.true_level) == (want.outcome, want.true_level)
+            assert [j.label for j in got.jumps] == [j.label for j in want.jumps]
+            assert np.max(np.abs(got.cavity - want.cavity)) <= 1e-12
+            jumped += bool(got.jumps)
+    assert jumped > 0
+
+
+def test_batched_preparation_rows_leave_at_their_first_non_g(basis20):
+    # Heralding rows leave the batch at different rounds; each still ends
+    # as the same attempt run alone on its stream.
+    params = SystemParams()
+    attempts = 40
+    streams = RowStreams([trajectory_rng(6, protocols.PREP_STREAM, a) for a in range(attempts)])
+    states, success = protocols._herald_rows(params, basis20, ALPHA, 4, "gf", streams)
+    rounds_run = set()
+    for attempt in range(attempts):
+        rng = trajectory_rng(6, protocols.PREP_STREAM, attempt)
+        alone = prepare_cat(params, rng, basis20, max_attempts=1)
+        assert success[attempt] == alone.success
+        assert np.max(np.abs(states[attempt] - alone.state)) <= 1e-12
+        counter = trajectory_rng(6, protocols.PREP_STREAM, attempt)
+        outcomes = heralding_outcomes(params, basis20, counter)
+        assert success[attempt] == (outcomes == ["g"] * 4)
+        rounds_run.add(len(outcomes))
+    assert success.any() and not success.all()
+    assert len(rounds_run) >= 3
+    stats = preparation_statistics(params, seed=6, n_attempts=attempts, basis=basis20)
+    assert stats.successes == int(success.sum())
+
+
+def heralding_outcomes(params, basis, rng):
+    """Outcomes of one heralding attempt, round by round, up to its first non-g."""
+    psi = joint_state("g", coherent_state(ALPHA, basis))
+    outcomes = []
+    for _ in range(4):
+        psi, _ = parity_map(psi, params, "gf", basis, rng=rng)
+        result = readout_and_reset(psi, params, basis, rng, "gf")
+        psi = result.state
+        outcomes.append(result.outcome)
+        if result.outcome != "g":
+            break
+    return outcomes
+
+
+def test_rows_sharing_a_generator_rerun_byte_identical(basis20, even_cat):
+    # Two rows draw from one generator, row by row; a third has its own
+    # stream.  A seeded rerun repeats every byte, and the third row ends
+    # as it does alone.
+    params = SystemParams()
+
+    def run():
+        shared = trajectory_rng(8, protocols.TOMO_STREAM, 0)
+        streams = RowStreams([shared, shared, trajectory_rng(8, 1, 5)])
+        return protocols._records(params, "gf", 10, basis20, even_cat, None, "effective", streams)
+
+    first, second = run(), run()
+    for rec_a, rec_b in zip(first, second, strict=True):
+        for a, b in zip(rec_a, rec_b, strict=True):
+            assert (a.outcome, a.true_level, a.jumps) == (b.outcome, b.true_level, b.jumps)
+            assert a.cavity.tobytes() == b.cavity.tobytes()
+    alone = repeated_parity(
+        params, "gf", 10, rng=trajectory_rng(8, 1, 5), basis=basis20, initial_cavity=even_cat
+    )
+    assert [r.outcome for r in first[2]] == [r.outcome for r in alone]
+    assert max(np.max(np.abs(a.cavity - b.cavity)) for a, b in zip(first[2], alone)) <= 1e-12
 
 
 def test_master_mode_budget(basis20):

@@ -10,6 +10,7 @@ from catsim.hilbert import CavityBasis, cat_state, joint_state, state_fidelity
 from catsim.model import SystemParams
 from catsim.tomography import (
     WignerGrid,
+    _golden_section,
     aligned_cat_fidelity,
     mle_reconstruct,
     normalize_grid,
@@ -235,6 +236,40 @@ def test_aligned_fidelity_phase_invariance():
     t3, f3 = aligned_cat_fidelity(shifted, ALPHA, basis)
     assert f3 == pytest.approx(f1, abs=1e-9)
     assert t3 == pytest.approx(t1, abs=1e-6)
+
+
+def per_angle_aligned_fidelity(rho, alpha, basis):
+    """The per-angle reference: F(theta) = <v|rho|v> with v = exp(-i theta n) cat,
+    the same 64-angle scan and 60-step golden-section refinement."""
+    reference = cat_state(alpha, basis)
+    n = np.arange(basis.dim)
+
+    def fidelity(theta):
+        v = np.exp(-1j * theta * n) * reference
+        return float(np.real(np.vdot(v, rho @ v)))
+
+    thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
+    best = thetas[int(np.argmax([fidelity(t) for t in thetas]))]
+    theta, neg = _golden_section(lambda t: -fidelity(t), best - math.pi / 64, best + math.pi / 64)
+    return theta % math.pi, -neg, fidelity
+
+
+def test_aligned_fidelity_matches_per_angle_formula():
+    # The Fourier form gives the fidelity of the per-angle formula to
+    # round-off.  Near the maximum F is flat to round-off over about
+    # 1e-8 in theta, so the two golden-section searches may stop that far
+    # apart; each stop is as good a maximizer as the other.
+    basis = CavityBasis(20)
+    rng = np.random.default_rng(12)
+    g = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+    random_density = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    rotated_cat = np.exp(-1j * 2.2 * np.arange(20)) * cat_state(ALPHA, basis)
+    for state in (random_density, np.outer(rotated_cat, rotated_cat.conj())):
+        theta, fid = aligned_cat_fidelity(state, ALPHA, basis)
+        ref_theta, ref_fid, per_angle = per_angle_aligned_fidelity(state, ALPHA, basis)
+        assert abs(fid - ref_fid) <= 1e-12
+        assert abs(per_angle(theta) - ref_fid) <= 1e-12
+        assert abs(theta - ref_theta) <= 1e-6
 
 
 @pytest.mark.slow
