@@ -166,12 +166,12 @@ def kick_infidelity(
     if delta_chi == 0.0:
         return 0.0
     center = math.pi * delta_chi * (t0 + t1) if align else 0.0
-    if t0 == t1:
-        return 1.0 - cat_overlap(TWO_PI * delta_chi * t0 - center, alpha)
 
     def integrand(t: float) -> float:
         return 1.0 - cat_overlap(TWO_PI * delta_chi * t - center, alpha)
 
+    if t0 == t1:
+        return integrand(t0)
     value, _ = quad(integrand, t0, t1, epsabs=1e-9, epsrel=1e-9, limit=200)
     return value / (t1 - t0)
 
@@ -205,79 +205,34 @@ def error_event_table(params: SystemParams, protocol: str = "gf") -> list:
         raise ValueError(f"protocol must be gf or ft, got {protocol!r}")
     t_map = map_duration(params, name)
     t_ro = params.t_ro
-    chi_ef = params.chi_e - params.chi_f
+    chi_e, chi_ef = params.chi_e, params.chi_e - params.chi_f
     confusion = params.assignment_error
-
-    rows = []
+    readout_ge = dephasing_per_occurrence(chi_e, 0.0, t_ro)
     if name == "gf":
-        rows.append(ErrorEventSpec(
-            "map_relax_fe",
-            t_map / (2.0 * params.T1_fe),
-            chi_ef,
-            (0.0, t_map),
-            dephasing_per_occurrence(chi_ef, 0.0, t_map, align=True),
-        ))
+        relax_fe = (chi_ef, dephasing_per_occurrence(chi_ef, 0.0, t_map, align=True))
     else:
-        rows.append(ErrorEventSpec(
-            "map_relax_fe", t_map / (2.0 * params.T1_fe), 0.0, (0.0, t_map), 0.0,
-        ))
-    rows.extend([
-        ErrorEventSpec(
-            "map_double_relax",
-            0.25 * t_map**2 / (params.T1_fe * params.T1_eg),
-            -params.chi_f,
-            (t_map / 3.0, t_map),
-            1.0,
-        ),
-        ErrorEventSpec(
-            "map_thermal_fh",
-            1.5 * t_map * params.n_th / params.T1_eg,
-            params.chi_h - params.chi_f,
-            (0.0, t_map),
-            1.0,
-        ),
-        ErrorEventSpec(
-            "map_thermal_ge",
-            0.5 * t_map * params.n_th / params.T1_eg,
-            params.chi_e,
-            (0.0, t_map),
-            dephasing_per_occurrence(params.chi_e, 0.0, t_map),
-        ),
-        ErrorEventSpec(
-            "readout_thermal_ge",
-            END_POPULATIONS["g"] * params.n_th * t_ro / params.T1_eg,
-            params.chi_e,
-            (0.0, t_ro),
-            dephasing_per_occurrence(params.chi_e, 0.0, t_ro),
-        ),
-        ErrorEventSpec(
-            "readout_relax_eg",
-            END_POPULATIONS["e"] * t_ro / params.T1_eg,
-            -params.chi_e,
-            (0.0, t_ro),
-            dephasing_per_occurrence(params.chi_e, 0.0, t_ro),
-        ),
-        ErrorEventSpec(
-            "readout_relax_fe",
-            END_POPULATIONS["f"] * t_ro / params.T1_fe,
-            chi_ef,
-            (0.0, t_ro),
-            dephasing_per_occurrence(chi_ef, 0.0, t_ro),
-        ),
-        ErrorEventSpec(
-            "assign_g_as_e", confusion[0][1], -params.chi_e, (t_ro, t_ro), 1.0,
-        ),
-        ErrorEventSpec(
-            "assign_e_as_g", confusion[1][0], params.chi_e, (t_ro, t_ro), 1.0,
-        ),
-        ErrorEventSpec(
-            "assign_e_as_f", confusion[1][2], chi_ef, (t_ro, t_ro), 1.0,
-        ),
-        ErrorEventSpec(
-            "assign_f_as_e", confusion[2][1], -chi_ef, (t_ro, t_ro), 1.0,
-        ),
-    ])
-    return rows
+        relax_fe = (0.0, 0.0)
+    # label, probability, delta_chi, window, dephasing_per_occurrence
+    rows = (
+        ("map_relax_fe", t_map / (2.0 * params.T1_fe), relax_fe[0], (0.0, t_map), relax_fe[1]),
+        ("map_double_relax", 0.25 * t_map**2 / (params.T1_fe * params.T1_eg), -params.chi_f,
+         (t_map / 3.0, t_map), 1.0),
+        ("map_thermal_fh", 1.5 * t_map * params.n_th / params.T1_eg,
+         params.chi_h - params.chi_f, (0.0, t_map), 1.0),
+        ("map_thermal_ge", 0.5 * t_map * params.n_th / params.T1_eg, chi_e, (0.0, t_map),
+         dephasing_per_occurrence(chi_e, 0.0, t_map)),
+        ("readout_thermal_ge", END_POPULATIONS["g"] * params.n_th * t_ro / params.T1_eg, chi_e,
+         (0.0, t_ro), readout_ge),
+        ("readout_relax_eg", END_POPULATIONS["e"] * t_ro / params.T1_eg, -chi_e, (0.0, t_ro),
+         readout_ge),
+        ("readout_relax_fe", END_POPULATIONS["f"] * t_ro / params.T1_fe, chi_ef, (0.0, t_ro),
+         dephasing_per_occurrence(chi_ef, 0.0, t_ro)),
+        ("assign_g_as_e", confusion[0][1], -chi_e, (t_ro, t_ro), 1.0),
+        ("assign_e_as_g", confusion[1][0], chi_e, (t_ro, t_ro), 1.0),
+        ("assign_e_as_f", confusion[1][2], chi_ef, (t_ro, t_ro), 1.0),
+        ("assign_f_as_e", confusion[2][1], -chi_ef, (t_ro, t_ro), 1.0),
+    )
+    return [ErrorEventSpec(*row) for row in rows]
 
 
 def total_dephasing_probability(events) -> float:

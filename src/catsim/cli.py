@@ -41,8 +41,17 @@ from .tomography import aligned_cat_fidelity, square_grid, wigner_scan
 DRIVE_MODES = {"off": "effective", "effective": "effective", "time-dependent": "time_dependent"}
 
 
-def _fit_fields(fit) -> dict:
-    return {"amplitude": fit.amplitude, "n0": fit.n0, "floor": fit.floor}
+def _fit_fields(fit, n_max: int) -> dict:
+    """Fitted decay with sigma(n0) from the covariance (null if none) and a flag.
+
+    ``flag`` is "unresolved" when sigma(n0) >= n0 or is missing,
+    "n0_beyond_n_max" when n0 lies past the last round, and None otherwise.
+    """
+    variance = math.nan if fit.covariance is None else float(fit.covariance[1, 1])
+    sigma = math.sqrt(variance) if variance >= 0.0 else math.nan
+    flag = "unresolved" if not sigma < fit.n0 else "n0_beyond_n_max" if fit.n0 > n_max else None
+    return {"amplitude": fit.amplitude, "n0": fit.n0, "floor": fit.floor,
+            "n0_sigma": sigma, "flag": flag}
 
 
 def _experiment_t2_sweep(args, params):
@@ -152,7 +161,7 @@ def _experiment_parity_decay(args, params):
         "stderr": [float(s) for s in curve.stderr],
         "kept": [int(k) for k in kept],
     }
-    return data, {"fit": _fit_fields(fit_decay(curve))}
+    return data, {"fit": _fit_fields(fit_decay(curve), args.n_max)}
 
 
 def _experiment_error_budget(args, params):
@@ -170,7 +179,7 @@ def _experiment_error_budget(args, params):
     }
     derived = {
         "total": total_dephasing_probability(table),
-        "kick_fit": _fit_fields(fit_decay(curve)),
+        "kick_fit": _fit_fields(fit_decay(curve), args.n_max),
         "kick_curve": {
             "n": [int(n) for n in curve.n],
             "fidelity": [float(f) for f in curve.fidelity],

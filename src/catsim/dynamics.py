@@ -1,18 +1,24 @@
 """Time-evolution engines: Lindblad master equation and quantum trajectories.
 
-Two integrators cover every need: an exact superoperator exponential for
-small static problems, and dense RK4 stepping otherwise.  Trajectory
-evolution additionally has an exact fast path for the common case where
-the Hamiltonian is static diagonal and every decay product L+L is
-diagonal; inter-jump evolution is then a per-amplitude exponential and
-jump times come from a bracketed root solve, with no stepping error.
+Every Hamiltonian catsim builds is static and block diagonal in a rotating
+frame.  The sideband drive op e^{2 pi i f t} + h.c. couples disjoint pairs
+of basis states; in the frame U(t) = exp(-2 pi i f t P), P the projector
+onto the states op takes from, the generator is exactly
+H' = H_static - 2 pi f P + op + op+ (a change of frame, not a rotating-wave
+approximation): one 2x2 block per pair, 1x1 blocks elsewhere, and the
+undriven and effective models are the all-1x1 case.  Every L+L is
+diagonal, so H' - (i/2) sum L+L has the same blocks.  Unitary evolution
+and the batched waiting-time trajectories (Dalibard, Castin & Molmer,
+PRL 68, 580 (1992)) are therefore exact, with jump times from a
+safeguarded Newton solve.  The master equation uses the superoperator
+exponential for small static problems and RK4 stepping otherwise.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -124,9 +130,6 @@ class RowStreams:
         part._draws = self._draws[rows]
         return part
 
-    def generators(self) -> list:
-        return [draw.__self__ for draw in self._draws]
-
     def uniforms(self) -> np.ndarray:
         """One uniform per row; a shared generator draws them in one call."""
         if self._shared is not None:
@@ -157,27 +160,15 @@ def evolve_unitary(
     duration: float,
     t0: float = 0.0,
 ) -> np.ndarray:
-    """Propagate a pure state without dissipation."""
+    """Propagate a pure state without dissipation from time ``t0``.
+
+    Exact for every generator of the block structure (see the module
+    docstring); ``t0`` sets the phase of a periodic drive.
+    """
     psi = np.asarray(state, dtype=complex)
     if duration == 0.0:
         return psi.copy()
-    if ham.is_static:
-        diag = ham.static_diagonal
-        if diag is not None:
-            return psi * np.exp(-1j * diag * duration)
-        return expm(-1j * ham.static * duration) @ psi
-
-    def rhs(vec, t):
-        return -1j * (ham.matrix(t) @ vec)
-
-    dt = min(duration / 10.0, 1.0 / (50.0 * _frequency_scale(ham)))
-    steps = max(1, int(math.ceil(duration / dt)))
-    dt = duration / steps
-    t = t0
-    for _ in range(steps):
-        psi = _rk4_step(rhs, psi, t, dt)
-        t += dt
-    return psi / np.linalg.norm(psi)
+    return _evolve_rows(_blocks(ham, ()), psi[None], duration, t0)[0]
 
 
 def liouvillian(ham: HamiltonianSpec, channels) -> np.ndarray:
@@ -272,111 +263,198 @@ def run_trajectory(
     channels,
     duration: float,
     rng,
+    t0: float = 0.0,
 ) -> TrajectoryResult:
-    """One stochastic wave-function trajectory over ``duration``.
+    """One stochastic wave-function trajectory over ``duration`` from ``t0``.
 
     Returns the normalized final state and the jump records with times
     relative to the segment start.  Needs an explicit numpy Generator so
-    that callers own reproducibility.  On the exact diagonal path this is
-    a one-row call of ``run_trajectories``.
+    that callers own reproducibility.  This is a one-row call of
+    ``run_trajectories``.
     """
     psi = np.array(state, dtype=complex)
-    psi /= np.linalg.norm(psi)
-    if duration == 0.0 or not channels:
-        return TrajectoryResult(evolve_unitary(psi, ham, duration), ())
-    rates = _diagonal_rates(ham, channels)
-    if rates is None:
-        return _trajectory_dense(psi, ham, channels, duration, rng)
-    states, jumps = _trajectory_rows(psi[None], rates, channels, duration, RowStreams([rng]))
+    states, jumps = run_trajectories(psi[None], ham, channels, duration, RowStreams([rng]), t0)
     return TrajectoryResult(states[0], jumps[0])
 
 
-def run_trajectories(states, ham: HamiltonianSpec, channels, duration: float, streams):
-    """Stochastic trajectories of a ``(rows, d)`` stack of states.
+def run_trajectories(
+    states, ham: HamiltonianSpec, channels, duration: float, streams, t0: float = 0.0
+):
+    """Stochastic trajectories of a ``(rows, d)`` stack of states from ``t0``.
 
     ``streams`` is a ``RowStreams`` with one entry per row.  Each row
     consumes its draws in the order ``run_trajectory`` would, so a row
     with its own generator ends exactly as it would alone.  Returns the
     normalized final states and, per row, the tuple of jump records.
-    Outside the exact diagonal path the rows run one by one.
+    Without channels or duration the rows evolve unitarily and draw
+    nothing.  A generator outside the block structure is a ValueError.
     """
     states = np.asarray(states, dtype=complex)
-    rates = _diagonal_rates(ham, channels) if duration > 0.0 and channels else None
-    if rates is None:
-        results = [
-            run_trajectory(psi, ham, channels, duration, rng)
-            for psi, rng in zip(states, streams.generators())
-        ]
-        return np.array([res.state for res in results]), [res.jumps for res in results]
+    blocks = _blocks(ham, channels)
     psi = states / np.linalg.norm(states, axis=1, keepdims=True)
-    return _trajectory_rows(psi, rates, channels, duration, streams)
+    if duration == 0.0 or not channels:
+        return _evolve_rows(blocks, psi, duration, t0), [()] * len(psi)
+    return _trajectory_rows(psi, blocks, channels, duration, streams, t0)
 
 
-def _diagonal_rates(ham, channels):
-    """(H diagonal, stacked L+L diagonals) when both are exactly diagonal."""
-    diag_h = ham.static_diagonal if ham.is_static else None
-    products = [c.product_diag for c in channels]
-    if diag_h is None or any(p is None for p in products):
-        return None
-    return diag_h, np.array(products)
+# Below this |s t| a 2x2 block takes sinh(s t)/s from its series, whose
+# first omitted term is then 2.5e-18 of the sum; above it the exponential
+# form loses at most one digit to cancellation.
+_SERIES_RADIUS = 0.1
 
 
-def _pick_channel(psi, channels, rng):
-    weights = np.array(
-        [np.vdot(c.operator @ psi, c.operator @ psi).real for c in channels]
-    )
-    total = weights.sum()
-    if total <= 0.0:
-        raise RuntimeError("no open jump channel at threshold crossing")
-    cdf = np.cumsum(weights) / total
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    idx = min(idx, len(channels) - 1)
-    jumped = channels[idx].operator @ psi
-    return jumped / np.linalg.norm(jumped), channels[idx].label
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """The inter-jump generator -i(H' - (i/2) sum L+L), block by block.
+
+    Amplitude j evolves as exp(freq[j] t), except that each pair
+    (upper[k], lower[k]) with coupling op[upper, lower] mixes by the
+    exponential of its 2x2 block.  The frame turns the lower states by
+    exp(i omega t).  With no pairs this is the exact diagonal case.
+    """
+
+    freq: np.ndarray
+    gamma: np.ndarray
+    products: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    coupling: np.ndarray
+    omega: float
+
+    def frame(self, psi, t, sign):
+        """Lab-frame rows at time(s) t into the frame (sign +1), or back (-1)."""
+        if self.omega == 0.0:
+            return psi
+        out = np.array(psi)
+        out[:, self.lower] *= np.exp(sign * 1j * self.omega * np.asarray(t, float)).reshape(-1, 1)
+        return out
+
+    def mix(self, psi, t):
+        """Each pair's amplitudes after each row's time t.
+
+        A block is mean + N with N**2 = root**2, so its exponential is
+        e^{mean t} (cosh(root t) + N sinh(root t)/root); at an exceptional
+        point root = 0 and the series form of sinh(root t)/root holds.
+        """
+        f_up, f_low = self.freq[self.upper], self.freq[self.lower]
+        mean, half = 0.5 * (f_up + f_low), 0.5 * (f_up - f_low)
+        root = np.sqrt(half * half - self.coupling * self.coupling.conj())
+        t = t[:, None]
+        grow, shrink = np.exp((mean + root) * t), np.exp((mean - root) * t)
+        z2 = (root * t) ** 2
+        sinhc = 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0 * (1.0 + z2 / 72.0)))
+        exact = (grow - shrink) / (2.0 * np.where(root == 0.0, 1.0, root))
+        odd = np.where(np.abs(root * t) < _SERIES_RADIUS, np.exp(mean * t) * t * sinhc, exact)
+        even = 0.5 * (grow + shrink)
+        up, low = psi[:, self.upper], psi[:, self.lower]
+        return (
+            (even + odd * half) * up - 1j * odd * self.coupling * low,
+            (even - odd * half) * low - 1j * odd * self.coupling.conj() * up,
+        )
+
+    def propagate(self, psi, t):
+        """Rows evolved in the frame for each row's time t, without jumps."""
+        out = psi * _exp_rows(self.freq, t)
+        if self.upper.size:
+            out[:, self.upper], out[:, self.lower] = self.mix(psi, t)
+        return out
+
+    def weigh_pairs(self, psi, t, terms):
+        """Write each pair's |amplitude|^2 after each row's time t into terms."""
+        up, low = self.mix(psi, t)
+        terms[:, self.upper] = up.real**2 + up.imag**2
+        terms[:, self.lower] = low.real**2 + low.imag**2
+
+    def survival(self, psi, weights, t):
+        """Each row's squared norm after its time t: its survival to t."""
+        if not self.upper.size:
+            return np.einsum("rd,rd->r", weights, _exp_rows(-self.gamma, t))
+        terms = weights * _exp_rows(-self.gamma, t)
+        self.weigh_pairs(psi, t, terms)
+        return terms.sum(axis=1)
+
+    def jump(self, psi, op, t):
+        """Rows in the frame after ``op`` strikes at times t."""
+        return self.frame(self.frame(psi, t, -1) @ op.T, t, 1)
 
 
-def _trajectory_rows(psi, rates, channels, duration, streams):
+def _blocks(ham: HamiltonianSpec, channels) -> _Blocks:
+    """The block structure of ``ham`` with ``channels``, or a ValueError.
+
+    Needs a diagonal static part, diagonal L+L products and at most one
+    periodic term, whose operator couples disjoint pairs of basis states.
+    """
+    diag = ham.static_diagonal
+    if diag is None:
+        raise ValueError("exact evolution needs a diagonal static Hamiltonian")
+    products = [chan.product_diag for chan in channels]
+    if any(p is None for p in products):
+        raise ValueError("exact evolution needs every L+L product to be diagonal")
+    if len(ham.periodic) > 1:
+        raise ValueError("exact evolution handles one periodic term")
+    products = np.array(products, dtype=float).reshape(len(products), diag.size)
+    gamma = np.sum(products, axis=0)
+    h, omega = diag.copy(), 0.0
+    upper = lower = np.zeros(0, dtype=int)
+    coupling = np.zeros(0, dtype=complex)
+    for op, freq_hz in ham.periodic:
+        upper, lower = np.nonzero(op)
+        if len(set(upper) | set(lower)) < 2 * upper.size:
+            raise ValueError("the periodic term must couple disjoint pairs of basis states")
+        coupling, omega = op[upper, lower], 2.0 * math.pi * freq_hz
+        h[lower] -= omega
+    freq = -1j * h - 0.5 * gamma
+    return _Blocks(freq, gamma, products, upper, lower, coupling, omega)
+
+
+def _evolve_rows(blocks, psi, duration, t0):
+    """Lab-frame rows evolved from ``t0`` for ``duration`` without jumps."""
+    inside = blocks.propagate(blocks.frame(psi, t0, 1), np.full(len(psi), float(duration)))
+    return blocks.frame(inside, t0 + duration, -1)
+
+
+def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
     """Exact waiting-time trajectories of normalized rows, all at once.
 
     Each pass draws one threshold per live row; rows whose end-of-segment
-    survival stays above it finish by an elementwise exponential, the
-    rest jump at the time their survival falls to the threshold.
+    survival stays above it finish by the block propagator, the rest jump
+    at the time their survival falls to the threshold.  Rows evolve in
+    the drive's frame, entered at ``t0`` and left at the segment's end.
     """
-    diag_h, products = rates
-    gamma = np.sum(products, axis=0)
-    freq = -1j * diag_h - 0.5 * gamma
     out = np.empty_like(psi)
     jumps = [()] * len(psi)
     live = np.arange(len(psi))
     t_done = np.zeros(len(psi))
+    psi = blocks.frame(psi, t0, 1)
     while live.size:
         remaining = duration - t_done
         r = streams.take(live).uniforms()
         weights = psi.real**2 + psi.imag**2
         # A row's survival to the end of the segment is its norm there.
-        survival = np.einsum("rd,rd->r", weights, _exp_rows(-gamma, remaining))
+        survival = blocks.survival(psi, weights, remaining)
         stay = survival >= r
         if stay.any():
-            done = psi[stay] * _exp_rows(freq, remaining[stay])
+            done = blocks.frame(blocks.propagate(psi[stay], remaining[stay]), t0 + duration, -1)
             out[live[stay]] = done / np.sqrt(survival[stay])[:, None]
         jump = ~stay
         live, psi, t_done = live[jump], psi[jump], t_done[jump]
         if not live.size:
             break
-        t_jump, _ = _jump_times(weights[jump], gamma, r[jump], remaining[jump])
-        psi = psi * _exp_rows(freq, t_jump)
+        t_jump, _ = _jump_times(weights[jump], blocks.gamma, r[jump], remaining[jump], blocks, psi)
+        psi = blocks.propagate(psi, t_jump)
         # Channel weights |L psi|^2 from the L+L diagonals; the chosen one
         # is the squared norm of the jumped row.
-        channel_weights = (psi.real**2 + psi.imag**2) @ products.T
+        channel_weights = (psi.real**2 + psi.imag**2) @ blocks.products.T
         total = channel_weights.sum(axis=1, keepdims=True)
         if np.any(total <= 0.0):
             raise RuntimeError("no open jump channel at threshold crossing")
         picks = _draw_index(np.cumsum(channel_weights, axis=1) / total, streams.take(live))
         norms = np.sqrt(channel_weights[np.arange(len(picks)), picks])[:, None]
+        t_done = t_done + t_jump
         for idx in np.unique(picks):
             rows = picks == idx
-            psi[rows] = (psi[rows] @ channels[idx].operator.T) / norms[rows]
-        t_done = t_done + t_jump
+            jumped = blocks.jump(psi[rows], channels[idx].operator, t0 + t_done[rows])
+            psi[rows] = jumped / norms[rows]
         for row, t, idx in zip(live, t_done, picks):
             jumps[row] += (JumpRecord(time=float(t), label=channels[idx].label),)
     return out, jumps
@@ -384,7 +462,7 @@ def _trajectory_rows(psi, rates, channels, duration, streams):
 
 def _exp_rows(rate, times):
     """exp(rate * t) for each row's time t, one exp when all rows share t."""
-    if np.all(times == times[0]):
+    if len(times) and np.all(times == times[0]):
         return np.broadcast_to(np.exp(rate * times[0]), (len(times), len(rate)))
     return np.exp(rate * times[:, None])
 
@@ -394,76 +472,47 @@ def _draw_index(cdf, streams):
     return np.minimum(np.sum(cdf <= streams.uniforms()[:, None], axis=1), cdf.shape[1] - 1)
 
 
-def _jump_times(weights, gamma, r, remaining):
-    """Times at which each row's survival S(t) = sum w exp(-gamma t) falls to r.
+def _jump_times(weights, gamma, r, remaining, blocks=None, psi=None):
+    """Times at which each row's survival S(t) falls to r.
 
-    Newton's method on g(t) = log S(t) - log r: log S is convex and
-    decreasing for a sum of decaying exponentials, so the iterates climb
-    from t = 0 to the root without passing it.  A row stops once its step
-    falls below ``_NEWTON_RTOL`` of its time, or once g is at round-off:
-    when r is near 1 the root is so close to 0 that round-off in g moves
-    t by more than that fraction.  Returns the times and the number of
-    iterations run.
+    S(t) = sum w exp(-gamma t) for weights w, except that the pairs of
+    ``blocks`` take their weights from the rows ``psi`` mixed to t.
+    Newton's method on g(t) = log S(t) - log r, safeguarded by the bracket
+    around the root ([0, remaining] at first): a step out of it bisects.
+    Without pairs log S is convex, so the iterates climb from t = 0 to the
+    root and the bracket never acts; with them it need not be convex.  A
+    row stops once its step falls below ``_NEWTON_RTOL`` of its time, or
+    once g is at round-off, as when r is so near 1 that round-off in g
+    moves t by more than that fraction.  Returns the times and the number
+    of iterations run.
     """
     t = np.zeros(len(r))
     log_r = np.log(r)
     floor = _NEWTON_ROUNDOFF * (1.0 - log_r)
     live = np.arange(len(r))
+    # The bracket of each live row; a zero rate makes a step out of it.
+    lo, hi = np.zeros(len(r)), np.array(remaining, dtype=float)
     for iteration in range(1, _NEWTON_CAP + 1):
-        terms = weights[live] * np.exp(-gamma * t[live, None])
+        now = t[live]
+        terms = weights[live] * np.exp(-gamma * now[:, None])
+        if blocks is not None and blocks.upper.size:
+            blocks.weigh_pairs(psi[live], now, terms)
         survival = terms.sum(axis=1)
         residual = np.log(survival) - log_r[live]
-        new = np.clip(t[live] + residual * survival / (terms @ gamma), 0.0, remaining[live])
-        converged = (np.abs(new - t[live]) <= _NEWTON_RTOL * new) | (
+        early = residual > 0.0
+        lo, hi = np.where(early, now, lo), np.where(early, hi, now)
+        new = now + residual * survival / np.maximum(terms @ gamma, 1e-300)
+        out = ~((new >= lo) & (new <= hi))
+        if out.any():
+            new[out] = 0.5 * (lo[out] + hi[out])
+        converged = (np.abs(new - now) <= _NEWTON_RTOL * new) | (
             np.abs(residual) <= floor[live]
         )
         t[live] = new
-        live = live[~converged]
+        live, lo, hi = live[~converged], lo[~converged], hi[~converged]
         if not live.size:
             return t, iteration
     raise RuntimeError(f"jump-time solve did not converge in {_NEWTON_CAP} iterations")
-
-
-def _trajectory_dense(psi, ham, channels, duration, rng):
-    gamma_tot = sum(c.operator.conj().T @ c.operator for c in channels)
-    max_rate = max(c.rate for c in channels)
-    static = ham.is_static
-    h_static = ham.static
-
-    def rhs(vec, t):
-        h = h_static if static else ham.matrix(t)
-        return -1j * (h @ vec) - 0.5 * (gamma_tot @ vec)
-
-    dt = min(duration / 10.0, 1.0 / (50.0 * _frequency_scale(ham, max_rate)))
-    steps = max(1, int(math.ceil(duration / dt)))
-    dt = duration / steps
-
-    jumps = []
-    r = rng.random()
-    t = 0.0
-    norm_sq = 1.0
-    for _ in range(steps):
-        candidate = _rk4_step(rhs, psi, t, dt)
-        cand_sq = float(np.vdot(candidate, candidate).real)
-        if cand_sq >= r:
-            psi = candidate
-            norm_sq = cand_sq
-            t += dt
-            continue
-        # jump inside this step: locate the crossing on a log scale
-        frac = math.log(norm_sq / r) / math.log(norm_sq / cand_sq)
-        frac = min(max(frac, 1e-6), 1.0)
-        at_jump = _rk4_step(rhs, psi, t, dt * frac)
-        psi, label = _pick_channel(at_jump, channels, rng)
-        t += dt * frac
-        jumps.append(JumpRecord(time=t, label=label))
-        # finish the partial step with the fresh normalized state
-        psi = _rk4_step(rhs, psi, t, dt * (1.0 - frac))
-        norm_sq = float(np.vdot(psi, psi).real)
-        t += dt * (1.0 - frac)
-        r = rng.random() * norm_sq
-    psi = psi / np.linalg.norm(psi)
-    return TrajectoryResult(psi, tuple(jumps))
 
 
 def trajectory_ensemble_density(
@@ -554,23 +603,23 @@ def chevron_map(
     Starts in |e, 1> and drives the |e, 1>-|h, 0> transition with the
     oscillating coupling; returns P(h) with shape (len(detunings),
     len(times)).  Coherent dynamics only, so the pattern is the bare
-    interference chevron.
+    interference chevron.  The sample times of one detuning are the rows
+    of one exact block propagation from t = 0.
     """
     basis = basis or CavityBasis(dim=4)
     times = np.asarray(sorted(float(t) for t in times))
     if len(times) and times[0] < 0.0:
         raise ValueError("sample times must be non-negative")
     h_block = slice(3 * basis.dim, 4 * basis.dim)
+    psi = joint_state("e", np.eye(basis.dim, dtype=complex)[1])
+    rows = np.broadcast_to(psi, (len(times), psi.size))
     populations = np.empty((len(detunings), len(times)))
     for i, delta in enumerate(detunings):
         drive = DriveSpec(params.omega_sb, float(delta))
         ham = build_hamiltonian(params, basis, mode="time_dependent", drive=drive)
-        psi = joint_state("e", np.eye(basis.dim, dtype=complex)[1])
-        t_prev = 0.0
-        for j, t in enumerate(times):
-            psi = evolve_unitary(psi, ham, t - t_prev, t0=t_prev)
-            t_prev = t
-            populations[i, j] = float(np.sum(np.abs(psi[h_block]) ** 2))
+        # P(h) is the same in the frame, and the frame starts at t = 0.
+        states = _blocks(ham, ()).propagate(rows, times)
+        populations[i] = np.sum(np.abs(states[:, h_block]) ** 2, axis=1)
     return populations
 
 
@@ -592,8 +641,6 @@ def measured_stark_shift(
         raise ValueError("photon number must be at least 1")
     if drive.detuning == 0.0:
         raise ValueError("shift measurement needs a detuned drive")
-    from dataclasses import replace
-
     expected = abs(induced_chi(drive.omega, drive.detuning, n))
     if expected > 0.0:
         duration = min(duration, 0.2 / expected)

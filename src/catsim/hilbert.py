@@ -69,10 +69,7 @@ class AncillaBasis:
         return vec
 
     def projector(self, label: str) -> np.ndarray:
-        i = self.index(label)
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        mat[i, i] = 1.0
-        return mat
+        return self.transition(label, label)
 
     def transition(self, to_label: str, from_label: str) -> np.ndarray:
         """Matrix |to><from| on the ancilla space."""

@@ -125,12 +125,8 @@ class SystemParams:
         return cls.from_mapping(raw)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "assignment_error":
-                value = [list(row) for row in value]
-            out[f.name] = value
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["assignment_error"] = [list(row) for row in self.assignment_error]
         return out
 
 
@@ -226,7 +222,9 @@ def build_hamiltonian(
 
     ``mode`` selects how the sideband drive enters: ``"off"`` (no drive),
     ``"effective"`` (drive folded into static dressed shifts) or
-    ``"time_dependent"`` (explicit oscillating coupling to the h level).
+    ``"time_dependent"`` (explicit oscillating coupling to the h level,
+    which ``dynamics`` evolves exactly in the frame rotating with the h
+    level, where it is static; this is not a rotating-wave approximation).
     ``ft_mode`` substitutes the f-level pull for the e-level pull, the
     error-transparent limit in which an e-f swap commutes with the
     dispersive evolution.

@@ -28,7 +28,6 @@ from .dynamics import (
     evolve_master,
     evolve_unitary,
     run_trajectories,
-    run_trajectory,
     trajectory_rng,
 )
 from .hilbert import (
@@ -195,39 +194,33 @@ _CLOSING = {protocol: u.conj().T for protocol, u in _OPENING.items()}
 
 
 def _wait_segment(psi, ham, channels, duration, rng, injected, basis):
-    """Evolve through the wait, applying injected errors at their times."""
+    """Evolve through the wait, applying injected errors at their times.
+
+    Each span starts at its offset into the wait, where a drive's phase stands.
+    """
     events = sorted(injected, key=lambda e: e.at)
-    for err in events:
-        if not 0.0 <= err.at <= 1.0:
-            raise ValueError("injected error time must lie in [0, 1]")
+    if any(not 0.0 <= err.at <= 1.0 for err in events):
+        raise ValueError("injected error time must lie in [0, 1]")
     jumps = []
     t_done = 0.0
-    for err in events:
-        t_target = err.at * duration
+    for err in events + [None]:
+        t_target = duration if err is None else err.at * duration
         span = t_target - t_done
-        if span > 0.0:
-            psi, new = _evolve_span(psi, ham, channels, span, rng, t_done)
-            jumps.extend(new)
-            t_done = t_target
-        op = error_operator(err.name, basis)
-        psi = op @ psi
-        norm = np.linalg.norm(psi)
-        if norm < 1e-12:
-            raise ValueError(f"injected error {err.name!r} annihilated the state")
-        psi = psi / norm
-        jumps.append(JumpRecord(time=t_done, label=f"injected:{err.name}"))
-    span = duration - t_done
-    if span > 0.0:
-        psi, new = _evolve_span(psi, ham, channels, span, rng, t_done)
-        jumps.extend(new)
+        if span > 0.0 and rng is None:
+            psi = evolve_unitary(psi, ham, span, t0=t_done)
+        elif span > 0.0:
+            out, new = run_trajectories(psi[None], ham, channels, span, RowStreams([rng]), t_done)
+            psi = out[0]
+            jumps += [JumpRecord(time=t_done + j.time, label=j.label) for j in new[0]]
+        t_done = t_target
+        if err is not None:
+            psi = error_operator(err.name, basis) @ psi
+            norm = np.linalg.norm(psi)
+            if norm < 1e-12:
+                raise ValueError(f"injected error {err.name!r} annihilated the state")
+            psi = psi / norm
+            jumps.append(JumpRecord(time=t_done, label=f"injected:{err.name}"))
     return psi, jumps
-
-
-def _evolve_span(psi, ham, channels, span, rng, offset):
-    if rng is None:
-        return evolve_unitary(psi, ham, span), []
-    res = run_trajectory(psi, ham, channels, span, rng)
-    return res.state, [JumpRecord(time=offset + j.time, label=j.label) for j in res.jumps]
 
 
 def parity_map(

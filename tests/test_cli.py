@@ -138,7 +138,29 @@ def test_parity_decay_columns_and_fit(tmp_path):
     assert len(data["fidelity"]) == len(data["stderr"]) == len(data["kept"]) == 8
     assert all(k <= 80 for k in data["kept"])
     assert data["fidelity"][0] > data["fidelity"][-1]
-    assert set(doc["meta"]["derived"]["fit"]) == {"amplitude", "n0", "floor"}
+    assert set(doc["meta"]["derived"]["fit"]) == {"amplitude", "n0", "floor", "n0_sigma", "flag"}
+
+
+def test_decay_fits_carry_sigma_and_flag(tmp_path):
+    # Twenty trials over ten rounds show no resolvable decay: the fit's n0
+    # lies far past n_max with a sigma larger than itself, and is flagged.
+    argv = [
+        "parity-decay", "--protocol", "gf", "--trajectories", "20", "--n-max", "10",
+        "--seed", "3",
+    ]
+    doc = run_json(tmp_path, "a.json", argv)
+    fit = doc["meta"]["derived"]["fit"]
+    assert fit["n0"] > 10
+    assert fit["n0_sigma"] is None or fit["n0_sigma"] >= fit["n0"]
+    assert fit["flag"] == "unresolved"
+    run_json(tmp_path, "b.json", argv)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    # The ft kick curve decays with n0 near 73, resolved but past 40 rounds.
+    fit = run_json(tmp_path, "ft.json", [
+        "error-budget", "--protocol", "ft", "--n-max", "40",
+    ])["meta"]["derived"]["kick_fit"]
+    assert fit["n0"] > 40 and fit["n0_sigma"] < fit["n0"]
+    assert fit["flag"] == "n0_beyond_n_max"
 
 
 def test_parity_once_shows_error_transparency(tmp_path):

@@ -15,6 +15,7 @@ from catsim.model import (
     HamiltonianSpec,
     SystemParams,
     build_hamiltonian,
+    cancellation_detuning,
     collapse_channels,
     induced_chi,
 )
@@ -416,3 +417,206 @@ def test_measured_stark_shift_rejects_vacuum():
     params = SystemParams()
     with pytest.raises(ValueError):
         measured_stark_shift(params, DriveSpec(params.omega_sb, 10e6), n=0)
+
+
+# ---------------------------------------------------------------- block engine
+#
+# Oracles for the rotating-frame block engine.  The sideband drive
+# op e^{2 pi i f t} + h.c. is static in the frame U(t) = exp(-2 pi i f t P),
+# P the projector onto the states op takes from, where the generator is
+# H' = H_static - 2 pi f P + op + op+.  The references below build that
+# matrix densely and exponentiate it with scipy, or step the lab-frame
+# Schroedinger equation with RK4.
+
+DRIVE_DETUNINGS = (0.0, cancellation_detuning(SystemParams(), "zero_chi_fe"), 3.0e6)
+
+
+def driven(dim, delta):
+    params = SystemParams()
+    basis = CavityBasis(dim=dim)
+    drive = DriveSpec(params.omega_sb, delta)
+    ham = build_hamiltonian(params, basis, mode="time_dependent", drive=drive)
+    return ham, collapse_channels(params, basis, drive_on=True)
+
+
+def frame_generator(ham, channels=()):
+    """Dense H' - (i/2) sum L+L and the frame's projector diagonal."""
+    (op, freq), = ham.periodic
+    sources = np.any(op != 0.0, axis=0).astype(float)
+    gen = ham.static - TWO_PI * freq * np.diag(sources) + op + op.conj().T
+    for chan in channels:
+        gen = gen - 0.5j * chan.operator.conj().T @ chan.operator
+    return gen, sources
+
+
+def random_rows(rng, rows, size):
+    psi = rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def rk4_unitary(psi, ham, duration, t0):
+    """Lab-frame RK4 of i psi' = H(t) psi, 50 steps per period of the fastest rate."""
+    scale = float(np.max(np.abs(ham.static)))
+    for op, freq in ham.periodic:
+        scale += 2.0 * float(np.max(np.sum(np.abs(op), axis=1))) + TWO_PI * abs(freq)
+    dt = min(duration / 10.0, 1.0 / (50.0 * scale / TWO_PI))
+    steps = max(1, math.ceil(duration / dt))
+    dt = duration / steps
+
+    def rhs(vec, t):
+        return -1j * (ham.matrix(t) @ vec)
+
+    t = t0
+    for _ in range(steps):
+        k1 = rhs(psi, t)
+        k2 = rhs(psi + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(psi + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(psi + dt * k3, t + dt)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("delta", DRIVE_DETUNINGS)
+@pytest.mark.parametrize("dim", [6, 20])
+def test_block_propagator_matches_expm(dim, delta):
+    # The closed-form 2x2 blocks against expm of the dense frame generator,
+    # without dissipation (H') and with it (H_eff).
+    ham, channels = driven(dim, delta)
+    psi = random_rows(np.random.default_rng(dim), 3, 4 * dim)
+    times = np.array([5e-8, 4e-7, 2.1e-6])
+    for chans in ((), channels):
+        blocks = dynamics._blocks(ham, chans)
+        assert blocks.upper.size == dim - 1
+        gen, _ = frame_generator(ham, chans)
+        got = blocks.propagate(psi, times)
+        for row, t in enumerate(times):
+            reference = expm(-1j * gen * t) @ psi[row]
+            assert np.max(np.abs(got[row] - reference)) <= 1e-12
+
+
+def test_block_propagator_at_exceptional_point():
+    # The lower state decays at 4e6 /s and the coupling is 1e6 rad/s, half
+    # the difference of the amplitude decay rates: the block's eigenvalues
+    # merge, s = 0, and sinh(s t)/s must come from its limit.
+    for coupling in (1.0e6, 1.0e6 * (1.0 + 1e-9), 1.0e6 * (1.0 - 1e-9)):
+        op = np.zeros((2, 2), dtype=complex)
+        op[0, 1] = coupling
+        ham = two_level_ham(periodic=((op, 0.0),))
+        chan = decay_channel(4.0e6)
+        blocks = dynamics._blocks(ham, (chan,))
+        half = 0.5 * (blocks.freq[0] - blocks.freq[1])
+        assert (half**2 == coupling**2) == (coupling == 1.0e6)
+        gen, _ = frame_generator(ham, (chan,))
+        psi = np.array([[0.6, 0.8j], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        for t in (1e-9, 3e-7, 2e-6):
+            got = blocks.propagate(psi, np.full(3, t))
+            assert np.all(np.isfinite(got))
+            reference = psi @ expm(-1j * gen * t).T
+            assert np.max(np.abs(got - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [6, 20])
+def test_block_engine_matches_stepped_unitary(dim):
+    # Against lab-frame RK4 on random states, from t0 = 0 and from inside
+    # a wait; the difference is RK4's own error.
+    rng = np.random.default_rng(100 + dim)
+    for delta in DRIVE_DETUNINGS[1:]:
+        ham, _ = driven(dim, delta)
+        for psi, (t0, duration) in zip(random_rows(rng, 2, 4 * dim), ((0.0, 2.1e-6), (7e-7, 1.3e-6))):
+            exact = evolve_unitary(psi, ham, duration, t0=t0)
+            assert np.max(np.abs(exact - rk4_unitary(psi, ham, duration, t0))) <= 1e-5
+
+
+def test_unitary_frame_phase_follows_t0():
+    # In the lab frame the drive phase at t0 matters: the exact propagator
+    # is U(t0 + T) expm(-i H' T) U(t0)+, and splitting a span at any point
+    # cannot change its end.
+    ham, _ = driven(6, DRIVE_DETUNINGS[1])
+    gen, sources = frame_generator(ham)
+    omega = TWO_PI * ham.periodic[0][1]
+    psi = random_rows(np.random.default_rng(3), 1, 24)[0]
+    t0, duration = 4e-7, 1.1e-6
+    enter = np.exp(1j * omega * t0 * sources)
+    leave = np.exp(-1j * omega * (t0 + duration) * sources)
+    reference = leave * (expm(-1j * gen * duration) @ (enter * psi))
+    assert np.max(np.abs(evolve_unitary(psi, ham, duration, t0=t0) - reference)) <= 1e-12
+    split = evolve_unitary(evolve_unitary(psi, ham, 3e-7, t0=t0), ham, duration - 3e-7, t0=t0 + 3e-7)
+    assert np.max(np.abs(split - reference)) <= 1e-12
+
+
+def test_block_jump_time_solve_matches_brentq():
+    # With mixing pairs log S(t) need not be convex; the safeguarded solve
+    # still lands on S(t) = r, with S from expm of the dense H_eff.
+    ham, channels = driven(6, DRIVE_DETUNINGS[1])
+    blocks = dynamics._blocks(ham, channels)
+    gen, _ = frame_generator(ham, channels)
+    rng = np.random.default_rng(11)
+    psi = random_rows(rng, 40, 24)
+    end = 6e-6
+    survival_end = np.sum(np.abs(psi @ expm(-1j * gen * end).T) ** 2, axis=1)
+    r = survival_end + (1.0 - survival_end) * rng.uniform(0.01, 0.99, 40)
+    weights = np.abs(psi) ** 2
+    times, iterations = dynamics._jump_times(
+        weights, blocks.gamma, r, np.full(40, end), blocks, psi
+    )
+    assert iterations < dynamics._NEWTON_CAP
+    for row, (ri, t) in enumerate(zip(r, times)):
+        def gap(x):
+            return float(np.sum(np.abs(expm(-1j * gen * x) @ psi[row]) ** 2)) - ri
+
+        reference = brentq(gap, 0.0, end, xtol=1e-22, rtol=1e-14)
+        assert abs(t - reference) <= 1e-9 * reference
+
+
+def test_first_jump_time_cdf_matches_block_survival():
+    # P(first jump <= t) = 1 - S(t) with S the squared norm under H_eff;
+    # |e, 2> + |h, 1> is one of the pairs the drive mixes.
+    ham, channels = driven(6, DRIVE_DETUNINGS[1])
+    psi = np.zeros(24, dtype=complex)
+    psi[joint_index("e", 2, 6)] = psi[joint_index("h", 1, 6)] = 1.0 / math.sqrt(2.0)
+    rows = 4000
+    duration = 30e-6
+    streams = dynamics.RowStreams([trajectory_rng(5, 0, i) for i in range(rows)])
+    _, jumps = dynamics.run_trajectories(
+        np.tile(psi, (rows, 1)), ham, channels, duration, streams
+    )
+    first = np.array([j[0].time if j else np.inf for j in jumps])
+    gen, _ = frame_generator(ham, channels)
+    grid = np.linspace(0.0, duration, 41)[1:]
+    expected = [1.0 - np.sum(np.abs(expm(-1j * gen * t) @ psi) ** 2) for t in grid]
+    empirical = [np.mean(first <= t) for t in grid]
+    assert expected[-1] > 0.4
+    assert np.max(np.abs(np.array(empirical) - expected)) < 0.03
+
+
+def test_time_dependent_ensemble_matches_master():
+    # The exact block trajectories average to the RK4 master equation of
+    # the oscillating drive.
+    ham, channels = driven(6, DRIVE_DETUNINGS[1])
+    anc = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(3.0)
+    psi = np.kron(anc, cat_state(1.0, CavityBasis(dim=6)))
+    duration = 2e-6
+    reference = evolve_master(psi, ham, channels, duration)
+    sampled = trajectory_ensemble_density(psi, ham, channels, duration, 2000, seed=3)
+    assert trace_distance(reference, sampled) < 0.02
+
+
+def test_generators_outside_the_block_structure_are_rejected():
+    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    coupled = np.zeros((3, 3), dtype=complex)
+    coupled[0, 1] = coupled[1, 0] = 1e6
+    with pytest.raises(ValueError, match="diagonal static"):
+        evolve_unitary(psi, HamiltonianSpec(static=coupled), 1e-6)
+    fan = np.zeros((3, 3), dtype=complex)
+    fan[0, 1] = fan[0, 2] = 1e6
+    zero = np.zeros((3, 3), dtype=complex)
+    with pytest.raises(ValueError, match="disjoint pairs"):
+        evolve_unitary(psi, HamiltonianSpec(static=zero, periodic=((fan, 1e6),)), 1e-6)
+    chain = np.zeros((3, 3), dtype=complex)
+    chain[0, 1] = chain[1, 2] = 1e6
+    with pytest.raises(ValueError, match="disjoint pairs"):
+        evolve_unitary(psi, HamiltonianSpec(static=zero, periodic=((chain, 1e6),)), 1e-6)
+    flip = CollapseChannel("flip", np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex), 1.0)
+    with pytest.raises(ValueError, match="product to be diagonal"):
+        run_trajectory(psi[:2], two_level_ham(), (flip,), 1e-6, trajectory_rng(0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catsim import protocols
-from catsim.dynamics import RowStreams, trajectory_rng
+from catsim.dynamics import RowStreams, evolve_unitary, trajectory_rng
 from catsim.hilbert import (
     CavityBasis,
     cat_overlap,
@@ -17,7 +17,13 @@ from catsim.hilbert import (
     reduce_to_cavity,
     state_fidelity,
 )
-from catsim.model import SystemParams
+from catsim.model import (
+    DriveSpec,
+    SystemParams,
+    build_hamiltonian,
+    cancellation_detuning,
+    error_operator,
+)
 from catsim.protocols import (
     InjectedError,
     ParityFilter,
@@ -271,6 +277,36 @@ def test_ft_cancellation_survives_real_drive(basis20, even_cat):
         theta = 2 * math.pi * 143e3 * (1.0 - at) * map_duration(QUIET, "gf")
         assert protected > 0.8
         assert protected > cat_overlap(theta) + 0.3
+
+
+def test_two_injections_keep_the_drive_phase():
+    # Each span after an injected error continues the oscillating drive
+    # from where the wait stands, as the same sequence composed by hand
+    # with evolve_unitary(..., t0=...).  Restarting the drive at every
+    # injection ended this sequence with P(h) = 0.350.
+    params = SystemParams()
+    basis = CavityBasis(dim=10)
+    drive = DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))
+    ham = build_hamiltonian(params, basis, mode="time_dependent", drive=drive)
+    wait = map_duration(params, "ft")
+    psi0 = joint_state("g", cat_state(ALPHA, basis))
+    opening = lift_ancilla(ancilla_rotation("ef_full") @ ancilla_rotation("ge_half"), 10)
+    injected = (InjectedError("relax_fe", 0.3), InjectedError("cavity_loss", 0.6))
+    psi = opening @ psi0
+    t_done = 0.0
+    for err in injected:
+        psi = evolve_unitary(psi, ham, err.at * wait - t_done, t0=t_done)
+        psi = error_operator(err.name, basis) @ psi
+        psi /= np.linalg.norm(psi)
+        t_done = err.at * wait
+    expected = opening.conj().T @ evolve_unitary(psi, ham, wait - t_done, t0=t_done)
+    out, jumps = parity_map(
+        psi0, params, "ft", basis, injected=injected, drive_mode="time_dependent"
+    )
+    assert np.max(np.abs(out - expected)) <= 1e-12
+    assert [j.label for j in jumps] == ["injected:relax_fe", "injected:cavity_loss"]
+    p_h = float(np.sum(np.abs(out.reshape(4, 10)[3]) ** 2))
+    assert p_h == pytest.approx(0.206, abs=1e-3)
 
 
 def test_readout_identity_assignment(basis20, even_cat):
