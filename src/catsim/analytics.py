@@ -20,7 +20,7 @@ from scipy.optimize import curve_fit
 from .dynamics import trajectory_rng
 from .hilbert import DEFAULT_ALPHA, CavityBasis, cat_overlap, cat_state
 from .model import SystemParams, induced_chi
-from .protocols import ParityFilter, map_duration, repeated_parity
+from .protocols import ParityFilter, _records, _trial_rngs, map_duration
 from .tomography import aligned_cat_fidelity
 
 TWO_PI = 2.0 * math.pi
@@ -352,12 +352,13 @@ def trajectory_decay_curve(
 ):
     """Full-model cat fidelity versus number of parity rounds.
 
-    Runs ``trials`` independent trajectory records of ``n_max`` rounds,
-    then for every prefix length keeps the trials whose loss-free-history
-    posterior clears ``POSTERIOR_THRESHOLD``, aligns the surviving
-    ensemble to the best rotated cat, and scores each kept trial against
-    that one target.  The per-trial scores average to the ensemble
-    fidelity exactly, and their scatter gives the standard error.
+    Runs ``trials`` independent trajectory records of ``n_max`` rounds
+    from the cat of amplitude ``alpha`` and filters them all at once, one
+    round at a time.  At every prefix length it keeps the trials whose
+    loss-free-history posterior clears ``POSTERIOR_THRESHOLD``, aligns
+    the surviving ensemble to the best rotated cat, and scores each kept
+    trial against that one target.  The per-trial scores average to the
+    ensemble fidelity exactly, and their scatter gives the standard error.
 
     Returns ``(curve, kept)`` where ``kept`` counts the surviving trials
     at each point of the curve.  Round numbers where fewer than two
@@ -368,33 +369,21 @@ def trajectory_decay_curve(
     if trials < 2:
         raise ValueError("need at least two trials")
     basis = basis or CavityBasis()
-    records = repeated_parity(
-        params,
-        protocol,
-        n_max,
-        trials=trials,
-        seed=seed,
-        basis=basis,
-        drive_mode=drive_mode,
-    )
-    posteriors = np.empty((trials, n_max))
-    states = np.empty((trials, n_max, basis.dim), dtype=complex)
-    for i, record in enumerate(records):
-        filt = ParityFilter.for_protocol(params, protocol, alpha)
-        for k, parity_round in enumerate(record):
-            filt.update(parity_round.outcome)
-            posteriors[i, k] = filt.no_flip_posterior
-            states[i, k] = parity_round.cavity
-
+    filt = ParityFilter.for_protocol(params, protocol, alpha)
     reference = cat_state(alpha, basis)
+    reported, _, cavities, _ = _records(
+        params, protocol, n_max, basis, reference, None, drive_mode,
+        _trial_rngs(seed, protocol, trials),
+    )
     phases = np.arange(basis.dim)
     ns, fidelities, stderrs, kept = [], [], [], []
     for k in range(n_max):
-        keep = posteriors[:, k] >= POSTERIOR_THRESHOLD
+        filt.update(reported[:, k])
+        keep = filt.no_flip_posterior >= POSTERIOR_THRESHOLD
         survivors = int(keep.sum())
         if survivors < 2:
             continue
-        ensemble = states[keep, k, :]
+        ensemble = cavities[keep, k]
         rho = ensemble.T @ ensemble.conj() / survivors
         theta, _ = aligned_cat_fidelity(rho, alpha, basis)
         target = np.exp(-1j * theta * phases) * reference

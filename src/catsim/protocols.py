@@ -121,7 +121,6 @@ class MapResult:
 class ParityRound:
     outcome: str
     true_level: str
-    event: str
     cavity: np.ndarray
     jumps: tuple
 
@@ -166,6 +165,8 @@ def ancilla_rotation(kind: str) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _map_context(params, basis, protocol, drive, drive_mode):
+    if drive_mode not in ("effective", "time_dependent"):
+        raise ValueError(f"unknown drive mode {drive_mode!r}")
     if protocol != "ft":
         return _readout_context(params, basis)
     drv = drive or DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))
@@ -240,8 +241,7 @@ def parity_map(
     Returns ``(state, jumps)`` with jump times relative to the wait start.
     """
     _check_protocol(protocol)
-    if drive_mode not in ("effective", "time_dependent"):
-        raise ValueError(f"unknown drive mode {drive_mode!r}")
+    validate_state(state)
     ham, channels = _map_context(params, basis, protocol, drive, drive_mode)
     wait = map_duration(params, protocol)
 
@@ -293,6 +293,7 @@ def readout_and_reset(
     frame of the reported level before the ancilla is reset to g.
     """
     _check_protocol(protocol)
+    validate_state(state)
     dim = basis.dim
     stack = np.asarray(state, dtype=complex).reshape(1, 4, dim)
     out, truth, reported, jumps = _readout_rows(stack, params, basis, RowStreams([rng]))
@@ -354,16 +355,18 @@ def repeated_parity(
 ):
     """Repeated map-plus-readout cycles.
 
-    Trajectory mode returns one record (a list of rounds with pure cavity
-    snapshots) when ``trials`` is None, or a list of records drawn from
-    independent seeded streams when ``trials`` is given; the trials run
-    as rows of one batch, and each gives the record it gives alone.
-    Master mode propagates the full density matrix and returns the
-    postselected all-g ensemble; its cost grows as rounds times the
-    squared joint dimension, so it is budget-capped to small problems,
-    and it runs the effective drive only.
+    Trajectory mode returns one record (a list of ``ParityRound``) when
+    ``trials`` is None, or a list of records drawn from independent
+    seeded streams when ``trials`` is given.  The trials run as rows of
+    one batch, each giving the record it gives alone, and the rounds are
+    built from the batch's record arrays.  Master mode propagates the
+    full density matrix and returns the postselected all-g ensemble; its
+    cost grows as rounds times the squared joint dimension, so it is
+    budget-capped to small problems, and it runs the effective drive only.
     """
     _check_protocol(protocol)
+    if n_rounds < 1:
+        raise ValueError(f"n_rounds must be at least 1, got {n_rounds}")
     if mode == "master":
         if drive_mode != "effective":
             raise ValueError(f"master mode runs the effective drive only, not {drive_mode!r}")
@@ -375,6 +378,8 @@ def repeated_parity(
             )
     elif mode != "trajectory":
         raise ValueError(f"unknown mode {mode!r}")
+    elif trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     elif trials is not None and seed is None:
         raise ValueError("trials requires a seed for independent streams")
     elif trials is None and rng is None:
@@ -386,41 +391,48 @@ def repeated_parity(
         validate_state(cavity)
     if mode == "master":
         return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive)
-    if trials is None:
-        return _records(
-            params, protocol, n_rounds, basis, cavity, drive, drive_mode, RowStreams([rng])
-        )[0]
-    records = []
-    for block in _row_blocks(trials):
-        streams = RowStreams(
-            [trajectory_rng(seed, PROTOCOL_INDEX[protocol], trial) for trial in block]
-        )
-        records += _records(params, protocol, n_rounds, basis, cavity, drive, drive_mode, streams)
-    return records
+    rngs = [rng] if trials is None else _trial_rngs(seed, protocol, trials)
+    reported, truth, cavities, jumps = _records(
+        params, protocol, n_rounds, basis, cavity, drive, drive_mode, rngs
+    )
+    records = [
+        [ParityRound(OUTCOMES[o], OUTCOMES[t], c, j) for o, t, c, j in zip(*row)]
+        for row in zip(reported.tolist(), truth.tolist(), cavities, zip(*jumps))
+    ]
+    return records[0] if trials is None else records
 
 
-def _records(params, protocol, n_rounds, basis, cavity, drive, drive_mode, streams):
-    """Trajectory records of ``n_rounds`` rounds, one per stream."""
-    stack = np.zeros((len(streams), 4, basis.dim), dtype=complex)
-    stack[:, 0] = cavity
-    records = [[] for _ in range(len(streams))]
-    for _ in range(n_rounds):
-        stack, map_jumps = _map_rows(
-            stack, params, protocol, basis, streams, drive, drive_mode
-        )
-        stack, truth, reported, readout_jumps = _readout_rows(stack, params, basis, streams)
-        for i, record in enumerate(records):
-            outcome = OUTCOMES[reported[i]]
-            record.append(
-                ParityRound(
-                    outcome=outcome,
-                    true_level=OUTCOMES[truth[i]],
-                    event=classify_event(outcome, protocol),
-                    cavity=stack[i, 0].copy(),
-                    jumps=map_jumps[i] + readout_jumps[i],
-                )
+def _trial_rngs(seed, protocol, trials):
+    """The seeded stream of each trial of a protocol's records."""
+    return [trajectory_rng(seed, PROTOCOL_INDEX[protocol], trial) for trial in range(trials)]
+
+
+def _records(params, protocol, n_rounds, basis, cavity, drive, drive_mode, rngs):
+    """Records of ``n_rounds`` rounds from ``cavity``, one row per entry of ``rngs``.
+
+    The rows run in blocks of at most 256 and may share a generator.
+    Returns the reported and the true levels as (rows, rounds) int8
+    indices into ``OUTCOMES``, the cavity after each round as a (rows,
+    rounds, dim) array, and per round every row's jumps, map then readout.
+    """
+    reported = np.empty((len(rngs), n_rounds), dtype=np.int8)
+    truth = np.empty_like(reported)
+    cavities = np.empty((len(rngs), n_rounds, basis.dim), dtype=complex)
+    jumps = [[] for _ in range(n_rounds)]
+    for block in _row_blocks(len(rngs)):
+        part = slice(block.start, block.stop)
+        streams = RowStreams(rngs[part])
+        stack = np.zeros((len(block), 4, basis.dim), dtype=complex)
+        stack[:, 0] = cavity
+        for k in range(n_rounds):
+            stack, map_jumps = _map_rows(
+                stack, params, protocol, basis, streams, drive, drive_mode
             )
-    return records
+            stack, *levels, readout_jumps = _readout_rows(stack, params, basis, streams)
+            truth[part, k], reported[part, k] = levels
+            cavities[part, k] = stack[:, 0]
+            jumps[k] += map(tuple.__add__, map_jumps, readout_jumps)
+    return reported, truth, cavities, jumps
 
 
 def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive):
@@ -476,11 +488,9 @@ class ParityFilter:
             [[1.0 - flip_prob, flip_prob], [flip_prob, 1.0 - flip_prob]]
         )
         keep = 1.0 - f_rate
-        self.emission = {
-            "g": np.array([f_assign * keep, (1.0 - f_assign) * keep]),
-            "e": np.array([(1.0 - f_assign) * keep, f_assign * keep]),
-            "f": np.array([f_rate, f_rate]),
-        }
+        # Likelihood of each outcome given (even, odd); rows follow OUTCOMES.
+        hit, miss = f_assign * keep, (1.0 - f_assign) * keep
+        self.emission = np.array([[hit, miss], [miss, hit], [f_rate, f_rate]])
         self.belief = np.array([1.0, 0.0])
         self.log_evidence = 0.0
         self.log_no_flip = 0.0
@@ -499,22 +509,27 @@ class ParityFilter:
             F_OUTCOME_RATE[protocol],
         )
 
-    def update(self, outcome: str) -> float:
-        predicted = self.transition @ self.belief
-        posterior = self.emission[outcome] * predicted
-        total = posterior.sum()
-        if total <= 0.0:
+    def update(self, outcome):
+        """Filter one round; return the posterior that the parity is even.
+
+        ``outcome`` is a label of ``OUTCOMES``, or an array with one index
+        into it per record, which makes the state and the result per record.
+        """
+        index = OUTCOMES.index(outcome) if isinstance(outcome, str) else np.asarray(outcome)
+        emission = self.emission[index]
+        posterior = emission * (self.belief @ self.transition.T)
+        total = posterior.sum(axis=-1)
+        if np.any(total <= 0.0):
             raise RuntimeError("record has zero likelihood under the filter model")
-        self.belief = posterior / total
-        self.log_evidence += math.log(total)
-        self.log_no_flip += math.log(
-            self.transition[0, 0] * self.emission[outcome][0]
-        )
-        return float(self.belief[0])
+        self.belief = posterior / total[..., None]
+        self.log_evidence = self.log_evidence + np.log(total)
+        self.log_no_flip = self.log_no_flip + np.log(self.transition[0, 0] * emission[..., 0])
+        even = self.belief[..., 0]
+        return even if even.ndim else float(even)
 
     @property
-    def no_flip_posterior(self) -> float:
-        return math.exp(self.log_no_flip - self.log_evidence)
+    def no_flip_posterior(self):
+        return np.exp(self.log_no_flip - self.log_evidence)
 
 
 @dataclass(frozen=True)

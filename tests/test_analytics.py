@@ -345,6 +345,16 @@ def test_trajectory_decay_reproducible_and_seed_sensitive():
     assert not np.array_equal(first[0].fidelity, other[0].fidelity)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.7])
+def test_trajectory_decay_starts_from_the_cat_it_scores(alpha):
+    # The records start from the cat of the requested amplitude, the one
+    # the filter and the reference use; scored against a sqrt(2) cat
+    # they would start near 0.8.
+    curve, _ = trajectory_decay_curve(SystemParams(), "gf", 5, trials=40, seed=1, alpha=alpha)
+    assert curve.n[0] == 1
+    assert curve.fidelity[0] > 0.9
+
+
 def test_trajectory_decay_validation():
     with pytest.raises(ValueError):
         trajectory_decay_curve(SystemParams(), "gf", 0, trials=40, seed=0)

@@ -472,19 +472,52 @@ def test_rows_sharing_a_generator_rerun_byte_identical(basis20, even_cat):
 
     def run():
         shared = trajectory_rng(8, protocols.TOMO_STREAM, 0)
-        streams = RowStreams([shared, shared, trajectory_rng(8, 1, 5)])
-        return protocols._records(params, "gf", 10, basis20, even_cat, None, "effective", streams)
+        rngs = [shared, shared, trajectory_rng(8, 1, 5)]
+        return protocols._records(params, "gf", 10, basis20, even_cat, None, "effective", rngs)
 
     first, second = run(), run()
-    for rec_a, rec_b in zip(first, second, strict=True):
-        for a, b in zip(rec_a, rec_b, strict=True):
-            assert (a.outcome, a.true_level, a.jumps) == (b.outcome, b.true_level, b.jumps)
-            assert a.cavity.tobytes() == b.cavity.tobytes()
+    for a, b in zip(first[:3], second[:3], strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert first[3] == second[3]
+    reported, truth, cavities, jumps = first
+    assert reported.shape == truth.shape == (3, 10)
+    assert cavities.shape == (3, 10, 20)
+    assert [len(per_row) for per_row in jumps] == [3] * 10
     alone = repeated_parity(
         params, "gf", 10, rng=trajectory_rng(8, 1, 5), basis=basis20, initial_cavity=even_cat
     )
-    assert [r.outcome for r in first[2]] == [r.outcome for r in alone]
-    assert max(np.max(np.abs(a.cavity - b.cavity)) for a, b in zip(first[2], alone)) <= 1e-12
+    assert [protocols.OUTCOMES[i] for i in reported[2]] == [r.outcome for r in alone]
+    assert [protocols.OUTCOMES[i] for i in truth[2]] == [r.true_level for r in alone]
+    assert [per_row[2] for per_row in jumps] == [r.jumps for r in alone]
+    assert max(np.max(np.abs(c - r.cavity)) for c, r in zip(cavities[2], alone)) <= 1e-12
+
+
+@pytest.mark.parametrize("protocol", ["ge", "gf", "ft"])
+def test_array_filter_matches_one_scalar_filter_per_record(protocol):
+    # One filter over many records, fed an OUTCOMES index per record each
+    # round, against a scalar filter run on each record alone.
+    params = SystemParams()
+    rng = np.random.default_rng(protocols.PROTOCOL_INDEX[protocol])
+    records = rng.integers(0, 3, size=(25, 80))
+    batch = ParityFilter.for_protocol(params, protocol)
+    scalars = [ParityFilter.for_protocol(params, protocol) for _ in records]
+    for k in range(records.shape[1]):
+        even = batch.update(records[:, k])
+        for i, filt in enumerate(scalars):
+            assert abs(filt.update(protocols.OUTCOMES[records[i, k]]) - even[i]) <= 1e-12
+    for i, filt in enumerate(scalars):
+        assert np.max(np.abs(batch.belief[i] - filt.belief)) <= 1e-12
+        assert abs(batch.log_evidence[i] - filt.log_evidence) <= 1e-12
+        assert abs(batch.no_flip_posterior[i] - filt.no_flip_posterior) <= 1e-12
+
+
+def test_array_filter_rejects_a_record_of_zero_likelihood():
+    filt = ParityFilter(flip_prob=0.01, f_assign=0.9, f_rate=0.0)
+    filt.update(np.array([0, 1, 0]))
+    with pytest.raises(RuntimeError, match="zero likelihood"):
+        filt.update(np.array([0, 2, 1]))
+    with pytest.raises(RuntimeError, match="zero likelihood"):
+        ParityFilter(flip_prob=0.01, f_assign=0.9, f_rate=0.0).update("f")
 
 
 def test_master_mode_budget(basis20):
@@ -514,6 +547,11 @@ def test_repeated_parity_reports_configuration_errors_before_building_the_cat():
     # its configuration error before the cat is built.
     small = CavityBasis(4)
     cases = [
+        (-3, dict(rng=trajectory_rng(1, 1, 0)), "n_rounds"),
+        (0, dict(trials=2, seed=1), "n_rounds"),
+        (-3, dict(mode="master"), "n_rounds"),
+        (1, dict(trials=0, seed=1), "trials"),
+        (1, dict(trials=-2), "trials"),
         (1, dict(mode="master", drive_mode="time_dependent"), "effective drive only"),
         (1, dict(mode="bogus"), "unknown mode"),
         (1000, dict(mode="master"), "budget"),
@@ -524,6 +562,29 @@ def test_repeated_parity_reports_configuration_errors_before_building_the_cat():
     for n_rounds, kwargs, message in cases:
         with pytest.raises(ValueError, match=message):
             repeated_parity(SystemParams(), "gf", n_rounds, basis=small, **kwargs)
+
+
+def test_repeated_parity_rejects_an_unknown_drive_mode(basis20):
+    with pytest.raises(ValueError, match="unknown drive mode"):
+        repeated_parity(
+            SystemParams(), "ft", 1, basis=basis20, trials=2, seed=1, drive_mode="bogus"
+        )
+
+
+def test_parity_map_rejects_an_invalid_state(basis20, even_cat):
+    psi = joint_state("g", even_cat)
+    with pytest.raises(ValueError, match="norm"):
+        parity_map(2.0 * psi, QUIET, "gf", basis20)
+    with pytest.raises(ValueError, match="1-D"):
+        parity_map(psi.reshape(4, 20), QUIET, "gf", basis20)
+
+
+def test_readout_and_reset_rejects_an_invalid_state(basis20, even_cat):
+    psi = joint_state("g", even_cat)
+    with pytest.raises(ValueError, match="norm"):
+        readout_and_reset(2.0 * psi, QUIET, basis20, trajectory_rng(1, 1, 0))
+    with pytest.raises(ValueError, match="non-finite"):
+        readout_and_reset(np.full(80, np.nan), QUIET, basis20, trajectory_rng(1, 1, 0))
 
 
 @pytest.mark.slow
