@@ -116,8 +116,10 @@ def thermal_dephasing_rate(chi: float, gamma: float, n_th: float) -> float:
     if n_th < 0:
         raise ValueError("n_th must be non-negative")
     x = TWO_PI * chi / gamma
+    # Re sqrt(z) - 1 for z = (1 + ix)^2 + 4ix n_th, as Re of (z - (1 + ix)^2)
+    # over (sqrt(z) + 1 + ix): no cancellation, so never below zero.
     root = cmath.sqrt((1.0 + 1j * x) ** 2 + 4j * x * n_th)
-    return 0.5 * gamma * (root.real - 1.0)
+    return 0.5 * gamma * (4j * x * n_th / (root + 1.0 + 1j * x)).real
 
 
 def residual_dephasing_time(params: SystemParams) -> float:

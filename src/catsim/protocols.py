@@ -283,16 +283,15 @@ def readout_and_reset(
     params: SystemParams,
     basis: CavityBasis,
     rng,
-    protocol: str = "gf",
 ) -> MapResult:
     """Dispersive readout window, assignment sampling and ancilla reset.
 
     The joint state decoheres for ``t_ro`` under the undriven model, the
     ancilla is measured projectively (h folds into f), the reported label
     is drawn from the confusion matrix, and the cavity is derotated by the
-    frame of the reported level before the ancilla is reset to g.
+    frame of the reported level before the ancilla is reset to g.  The
+    readout is the same for every protocol.
     """
-    _check_protocol(protocol)
     validate_state(state)
     dim = basis.dim
     stack = np.asarray(state, dtype=complex).reshape(1, 4, dim)

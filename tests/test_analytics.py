@@ -28,7 +28,9 @@ GAMMA = 1.0 / 25e-6
 
 
 def test_rate_vanishes_without_thermal_population():
-    assert thermal_dephasing_rate(93e3, GAMMA, 0.0) == 0.0
+    # 3864.5 Hz left -2.2e-12 when the rate was formed as Re sqrt(z) - 1.
+    for chi in (93e3, 3864.523440464749):
+        assert thermal_dephasing_rate(chi, GAMMA, 0.0) == 0.0
 
 
 def test_rate_telegraph_limit():

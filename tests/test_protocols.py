@@ -456,7 +456,7 @@ def heralding_outcomes(params, basis, rng):
     outcomes = []
     for _ in range(4):
         psi, _ = parity_map(psi, params, "gf", basis, rng=rng)
-        result = readout_and_reset(psi, params, basis, rng, "gf")
+        result = readout_and_reset(psi, params, basis, rng)
         psi = result.state
         outcomes.append(result.outcome)
         if result.outcome != "g":

@@ -10,7 +10,11 @@ from catsim.hilbert import CavityBasis, cat_state, joint_state, state_fidelity
 from catsim.model import SystemParams
 from catsim.tomography import (
     WignerGrid,
+    _coordinates,
+    _from_coordinates,
     _golden_section,
+    _observable_matrix,
+    _project_density,
     aligned_cat_fidelity,
     mle_reconstruct,
     normalize_grid,
@@ -197,6 +201,145 @@ def test_mle_rank_deficiency_warning():
     )
     with pytest.warns(UserWarning, match="under-determine"):
         mle_reconstruct(grid, 8, max_iterations=3)
+
+
+def noisy_cat_grid(dim=10):
+    """The dim-10 cat on the 21x21 grid with 10% multiplicative noise."""
+    grid = wigner_scan(cat_state(ALPHA, CavityBasis(dim)), square_grid(21, 2.5))
+    rng = np.random.default_rng(11)
+    return WignerGrid(
+        betas=grid.betas,
+        values=grid.values * (1.0 + 0.1 * rng.standard_normal(len(grid))),
+        shots=grid.shots,
+    )
+
+
+def rank_two_grid(dim=6):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    a /= np.linalg.norm(a)
+    b -= np.vdot(a, b) * a
+    b /= np.linalg.norm(b)
+    rho = 0.6 * np.outer(a, a.conj()) + 0.4 * np.outer(b, b.conj())
+    return wigner_scan(rho, square_grid(21, 2.5))
+
+
+def observable_stack(betas, dim):
+    """The (K, dim, dim) stack of (2/pi) D(beta) P D(beta)+, one matrix at a time."""
+    basis = CavityBasis(dim)
+    stack = []
+    for beta in betas:
+        u = basis.displacement(-beta)
+        stack.append((2 / math.pi) * u.conj().T @ basis.parity() @ u)
+    return np.array(stack)
+
+
+def round_off_floor(grid, dim):
+    return len(grid) * (dim * dim * np.finfo(float).eps * 2 / math.pi) ** 2
+
+
+def reference_projected_gradient(grid, dim, max_iterations=2000, tolerance=1e-8):
+    """The plain projected-gradient fit on the complex observable stack:
+    a trial step that halves up to 40 times until the residual drops, then
+    doubles; stop on a relative gain below ``tolerance``.  Returns the
+    final residual."""
+    obs = observable_stack(grid.betas, dim)
+    target = np.asarray(grid.values, dtype=float)
+
+    def expectations(rho):
+        return np.real(np.einsum("kij,ji->k", obs, rho))
+
+    rho = np.eye(dim, dtype=complex) / dim
+    predicted = expectations(rho)
+    residual = float(np.sum((predicted - target) ** 2))
+    step = 1.0 / (2.0 * float(np.sum(np.abs(obs) ** 2)) / len(grid) + 1e-30)
+    for _ in range(max_iterations):
+        grad = 2.0 * np.einsum("k,kij->ij", predicted - target, obs)
+        trial_step = step
+        for _ in range(40):
+            candidate = _project_density(rho - trial_step * grad)
+            cand_pred = expectations(candidate)
+            cand_res = float(np.sum((cand_pred - target) ** 2))
+            if cand_res < residual:
+                break
+            trial_step *= 0.5
+        else:
+            break
+        gain = (residual - cand_res) / max(residual, 1e-300)
+        rho, predicted, residual = candidate, cand_pred, cand_res
+        step = trial_step * 2.0
+        if gain < tolerance:
+            break
+    return residual
+
+
+@pytest.mark.parametrize("dim", [2, 6, 20])
+def test_observable_matrix_matches_the_complex_stack(dim):
+    # A x is Re Tr[O_k rho] and 2 A^T r is the gradient 2 sum_k r_k O_k.
+    rng = np.random.default_rng(dim)
+    betas = square_grid(5, 1.5)
+    obs = observable_stack(betas, dim)
+    matrix = _observable_matrix(betas, dim)
+    assert matrix.shape == (len(betas), dim * dim) and matrix.flags.c_contiguous
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g + g.conj().T
+    x = _coordinates(rho)
+    assert np.abs(_from_coordinates(x, dim) - rho).max() <= 1e-14
+    expected = np.real(np.einsum("kij,ji->k", obs, rho))
+    assert np.abs(matrix @ x - expected).max() <= 1e-12
+    r = rng.normal(size=len(betas))
+    gradient = _from_coordinates(2.0 * matrix.T @ r, dim)
+    assert np.abs(gradient - 2.0 * np.einsum("k,kij->ij", r, obs)).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:displacements beyond")
+def test_mle_fits_no_worse_than_the_plain_projected_gradient():
+    noisy = noisy_cat_grid()
+    reference = reference_projected_gradient(noisy, 10)
+    assert mle_reconstruct(noisy, 10).residual <= reference
+    # On an exact grid both fits reach round-off; the accelerated fit stops
+    # at the floor, where the reference runs on.
+    mixed = rank_two_grid()
+    reference = reference_projected_gradient(mixed, 6)
+    result = mle_reconstruct(mixed, 6)
+    assert result.stop == "floor"
+    assert result.residual <= max(reference, round_off_floor(mixed, 6))
+
+
+@pytest.mark.filterwarnings("ignore:displacements beyond")
+def test_mle_stop_reasons():
+    dim = 12
+    grid = wigner_scan(cat_state(ALPHA, CavityBasis(dim)), square_grid(21, 2.5))
+    exact = mle_reconstruct(grid, dim)
+    assert exact.stop == "floor"
+    assert exact.residual <= round_off_floor(grid, dim)
+    assert exact.iterations < 302
+    noisy = noisy_cat_grid()
+    fit = mle_reconstruct(noisy, 10)
+    assert fit.stop == "tolerance"
+    # The Frank-Wolfe gap certifies the residual within tolerance of the optimum.
+    best = mle_reconstruct(noisy, 10, tolerance=1e-14).residual
+    assert fit.residual - best <= 1e-8 * best
+    capped = mle_reconstruct(grid, dim, max_iterations=3)
+    assert capped.stop == "cap" and capped.iterations == 3
+
+
+@pytest.mark.filterwarnings("ignore:displacements beyond")
+def test_mle_rejects_invalid_inputs():
+    grid = wigner_scan(cat_state(ALPHA, CavityBasis(8)), square_grid(5, 1.5))
+    with pytest.raises(ValueError, match="dim"):
+        mle_reconstruct(grid, 0)
+    empty = WignerGrid(np.zeros(0, dtype=complex), np.zeros(0), np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="no points"):
+        mle_reconstruct(empty, 4)
+    values = grid.values.copy()
+    values[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        mle_reconstruct(WignerGrid(grid.betas, values, grid.shots), 4)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_iterations"):
+            mle_reconstruct(grid, 4, max_iterations=cap)
 
 
 def test_aligned_fidelity_recovers_rotation():
