@@ -191,13 +191,15 @@ def _observable_matrix(betas: np.ndarray, dim: int) -> np.ndarray:
 
     Row k holds the coordinates of the k-th observable, so Re Tr[O_k rho]
     is ``(A @ _coordinates(rho))[k]``; the rows are filled one at a time.
+    The truncated a is parity-odd (P a P = -a), so P D(beta) P = D(beta)+
+    and D(beta) P D(beta)+ = D(2 beta) P exactly in the truncated space:
+    one displacement per point and no product.
     """
     basis = CavityBasis(dim)
-    signs = 1.0 - 2.0 * (np.arange(dim) % 2)
+    signs = TWO_OVER_PI * (1.0 - 2.0 * (np.arange(dim) % 2))
     matrix = np.empty((len(betas), dim * dim))
     for k, beta in enumerate(betas):
-        u = basis.displacement(-beta)
-        matrix[k] = _coordinates(TWO_OVER_PI * (u.conj().T * signs) @ u)
+        matrix[k] = _coordinates(basis.displacement(2.0 * beta) * signs)
     return matrix
 
 

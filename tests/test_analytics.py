@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import curve_fit
 
 from catsim.analytics import (
     DecayCurve,
@@ -126,6 +128,32 @@ def test_kick_infidelity_full_rotation_hits_floor():
 def test_kick_infidelity_rejects_reversed_window():
     with pytest.raises(ValueError):
         kick_infidelity(93e3, 2e-6, 1e-6)
+
+
+def quad_kick_infidelity(delta_chi, t0, t1, align=False):
+    """Adaptive-quadrature reference for ``kick_infidelity``."""
+    center = math.pi * delta_chi * (t0 + t1) if align else 0.0
+    value, _ = quad(
+        lambda t: 1.0 - cat_overlap(2.0 * math.pi * delta_chi * t - center),
+        t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200,
+    )
+    return value / (t1 - t0)
+
+
+@pytest.mark.parametrize("protocol", ["gf", "ft"])
+def test_kick_infidelity_matches_adaptive_quadrature(protocol):
+    # Every kick window of the error table, aligned and not, and the full
+    # turn that normalizes it.
+    for event in error_event_table(SystemParams(), protocol):
+        chi, (t0, t1) = event.delta_chi, event.window
+        if chi == 0.0 or t0 == t1:
+            continue
+        for window in ((t0, t1), (0.0, 1.0 / abs(chi))):
+            for align in (False, True):
+                expected = quad_kick_infidelity(chi, *window, align=align)
+                assert kick_infidelity(chi, *window, align=align) == pytest.approx(
+                    expected, abs=1e-10
+                )
 
 
 def test_dephasing_per_occurrence_published_values():
@@ -282,17 +310,57 @@ def test_monte_carlo_decay_matches_dephasing_budget():
     assert fit_gf.floor == pytest.approx(0.37, abs=0.10)
 
 
-def test_fit_recovers_synthetic_exponential():
+def curve_fit_reference(curve):
+    """Bounded trust-region fit of the model from pinned starting values."""
+    n, fidelity = curve.n.astype(float), curve.fidelity
+    amp0 = float(fidelity[0] - fidelity[-1])
+    below = np.nonzero(fidelity <= fidelity[-1] + 0.5 * amp0)[0]
+    n0_init = float(n[below[0]]) if len(below) else float(n[-1])
+    popt, pcov = curve_fit(
+        lambda count, amplitude, n0, floor: amplitude * np.exp(-count / n0) + floor,
+        n, fidelity, p0=(amp0, max(n0_init, 1.0), float(fidelity.min())),
+        bounds=((-np.inf, 1e-9, -np.inf), (np.inf, np.inf, np.inf)), maxfev=20000,
+    )
+    return popt, pcov
+
+
+def synthetic_curve():
     rng = np.random.default_rng(21)
     n = np.arange(1, 81)
     truth = 0.56 * np.exp(-n / 20.0) + 0.37
     noisy = np.clip(truth * (1.0 + 0.005 * rng.standard_normal(len(n))), 0.0, 1.0)
-    curve = DecayCurve(n, noisy, np.full(len(n), 0.005))
-    result = fit_decay(curve)
+    return DecayCurve(n, noisy, np.full(len(n), 0.005))
+
+
+def test_fit_recovers_synthetic_exponential():
+    result = fit_decay(synthetic_curve())
     assert result.amplitude == pytest.approx(0.56, rel=0.05)
     assert result.n0 == pytest.approx(20.0, rel=0.05)
     assert result.floor == pytest.approx(0.37, rel=0.05)
     assert result.covariance.shape == (3, 3)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "trajectory"])
+def test_fit_matches_curve_fit(source):
+    if source == "synthetic":
+        curve = synthetic_curve()
+    else:
+        curve, _ = trajectory_decay_curve(SystemParams(), "gf", 20, trials=150, seed=0)
+    fit = fit_decay(curve)
+    (amplitude, n0, floor), pcov = curve_fit_reference(curve)
+    sigma = math.sqrt(pcov[1, 1])
+    assert abs(fit.n0 - n0) <= 1e-3 * sigma
+    assert fit.amplitude == pytest.approx(amplitude, rel=1e-3)
+    assert fit.floor == pytest.approx(floor, rel=1e-3)
+    assert math.sqrt(fit.covariance[1, 1]) == pytest.approx(sigma, rel=1e-3)
+
+
+def test_fit_rejects_non_finite_fidelities():
+    fidelity = 0.5 * np.exp(-np.arange(1, 11) / 4.0) + 0.4
+    fidelity[6] = np.nan
+    curve = DecayCurve(np.arange(1, 11), fidelity, np.full(10, 0.01))
+    with pytest.raises(FloatingPointError):
+        fit_decay(curve)
 
 
 def test_fit_flags_constant_curve():

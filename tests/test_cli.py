@@ -70,6 +70,24 @@ def test_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_non_finite_decay_curve_exits_3(tmp_path, monkeypatch, capsys):
+    real_curve = cli.trajectory_decay_curve
+
+    def with_nan(*args, **kwargs):
+        curve, kept = real_curve(*args, **kwargs)
+        curve.fidelity[3] = float("nan")
+        return curve, kept
+
+    monkeypatch.setattr(cli, "trajectory_decay_curve", with_nan)
+    out = tmp_path / "x.json"
+    rc = cli.run([
+        "parity-decay", "--trajectories", "40", "--n-max", "6", "--out", str(out),
+    ])
+    assert rc == 3
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_failed_write_leaves_no_output_or_temp_file(tmp_path, monkeypatch, capsys):
     real_writer = cli.csv.writer
 
@@ -161,6 +179,11 @@ def test_decay_fits_carry_sigma_and_flag(tmp_path):
     ])["meta"]["derived"]["kick_fit"]
     assert fit["n0"] > 40 and fit["n0_sigma"] < fit["n0"]
     assert fit["flag"] == "n0_beyond_n_max"
+    # Ten rounds cannot resolve that decay.
+    fit = run_json(tmp_path, "ft10.json", [
+        "error-budget", "--protocol", "ft", "--n-max", "10",
+    ])["meta"]["derived"]["kick_fit"]
+    assert fit["flag"] == "unresolved"
 
 
 def test_parity_once_shows_error_transparency(tmp_path):

@@ -334,6 +334,34 @@ def test_ramsey_default_parameters_in_expected_band():
     assert 500e-6 < t2 < 800e-6
 
 
+# 1-norms inside each Pade degree's bound (3, 5, 7, 9, 13) and past the
+# degree-13 bound, where the exponential scales and squares.
+@pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 10.0, 100.0])
+def test_pade_exponential_matches_scipy(norm):
+    rng = np.random.default_rng(int(1000 * norm))
+    for _ in range(3):
+        mat = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+        mat *= norm / np.linalg.norm(mat, 1)
+        reference = expm(mat)
+        error = np.linalg.norm(dynamics._expm(mat) - reference)
+        assert error <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_master_propagator_matches_scipy_on_the_ramsey_liouvillian():
+    params = SystemParams()
+    basis = CavityBasis(dynamics.RAMSEY_CAVITY_DIM)
+    center = cancellation_detuning(params, "zero_chi_eg")
+    for drive in (None, DriveSpec(params.omega_sb, center)):
+        mode = "off" if drive is None else "effective"
+        ham = build_hamiltonian(params, basis, mode=mode, drive=drive)
+        channels = collapse_channels(params, basis, drive_on=drive is not None)
+        reference = expm(dynamics.liouvillian(ham, channels) * 2e-6)
+        propagator = dynamics.master_propagator(ham, channels, 2e-6)
+        assert propagator.shape == (144, 144)
+        error = np.linalg.norm(propagator - reference)
+        assert error <= 1e-12 * np.linalg.norm(reference)
+
+
 def test_trajectory_rng_streams():
     a = trajectory_rng(9, 1, 7).random(4)
     b = trajectory_rng(9, 1, 7).random(4)
