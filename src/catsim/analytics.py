@@ -33,8 +33,10 @@ KICK_STREAM = 5
 # Loss-free-history posterior a trial needs to stay in the decay ensemble.
 POSTERIOR_THRESHOLD = 0.20
 
-# Gauss-Legendre rule per quarter turn of a kick window: 20 nodes agree
-# with adaptive quadrature to round-off for cat amplitudes up to 3.
+# Gauss-Legendre rule per panel of a kick window: 20 nodes over a quarter
+# turn agree with adaptive quadrature to round-off for cat amplitudes up to
+# 3.  The overlap's peak narrows as 1/|alpha| and its phase |alpha|^2 sin
+# turns faster, so past |alpha| = 3 the panels shrink as 9/|alpha|^2.
 _KICK_NODES, _KICK_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
@@ -162,8 +164,8 @@ def kick_infidelity(
 
     Averages 1 - cat_overlap(2 pi delta_chi t) over the window by
     composite Gauss-Legendre quadrature, in equal panels of at most a
-    quarter turn of the kick angle; a degenerate window evaluates the
-    integrand pointwise.  ``align`` removes the deterministic mean
+    quarter turn of the kick angle (narrower for |alpha| > 3); a
+    degenerate window evaluates the integrand pointwise.  ``align`` removes the deterministic mean
     rotation first, matching an analysis that re-aligns the cat before
     scoring.
     """
@@ -174,7 +176,7 @@ def kick_infidelity(
     center = math.pi * delta_chi * (t0 + t1) if align else 0.0
     if t0 == t1:
         return 1.0 - cat_overlap(TWO_PI * delta_chi * t0 - center, alpha)
-    panels = math.ceil(4.0 * abs(delta_chi) * (t1 - t0))
+    panels = math.ceil(4.0 * abs(delta_chi) * (t1 - t0) * max(1.0, abs(alpha) ** 2 / 9.0))
     width = (t1 - t0) / panels
     times = t0 + width * (np.arange(panels)[:, None] + 0.5 * (1.0 + _KICK_NODES))
     overlap = cat_overlap(TWO_PI * delta_chi * times - center, alpha)

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+# Imported here, not as np.random.*, so numpy.random does not load on the
+# first trajectory call.
 from numpy.random import Generator, Philox
 
 from .hilbert import CavityBasis, as_density, joint_index, joint_state
@@ -190,51 +192,35 @@ def master_propagator(ham: HamiltonianSpec, channels, duration: float) -> np.nda
     return _expm(liouvillian(ham, channels) * duration)
 
 
-# Pade coefficients b_0..b_m of exp and the 1-norm up to which each degree m
-# has backward error below double-precision round-off (Higham, SIAM J.
-# Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
-_PADE = {
-    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                               1512.0, 56.0, 1.0)),
-    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
-                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
-                               10559470521600.0, 670442572800.0, 33522128640.0,
-                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-}
+# Pade-13 coefficients b_0..b_13 of exp and the 1-norm up to which the
+# approximant has backward error below double-precision round-off (Higham,
+# SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
+_PADE13_BOUND = 5.371920351148152
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
 
 
 def _expm(mat: np.ndarray) -> np.ndarray:
-    """Matrix exponential by Pade scaling and squaring (Higham 2005, Algorithm 2.3).
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005).
 
-    The lowest Pade degree whose bound covers the 1-norm is used directly;
-    above the degree-13 bound the matrix is scaled by 2^-s into it, and the
-    approximant squared s times.  With r_m = p(A)/p(-A), p(A) = U + V
-    splits into the odd part U and the even part V.
+    The matrix is scaled by 2^-s until its 1-norm is within the degree-13
+    bound, and the approximant squared s times.  With r_13 = p(A)/p(-A),
+    p(A) = U + V splits into the odd part U and the even part V.
     """
     norm = float(np.linalg.norm(mat, 1))
-    degree = next((m for m, (bound, _) in _PADE.items() if norm <= bound), 13)
-    bound, b = _PADE[degree]
-    squarings = math.ceil(math.log2(norm / bound)) if norm > bound else 0
+    squarings = math.ceil(math.log2(norm / _PADE13_BOUND)) if norm > _PADE13_BOUND else 0
     mat = mat / 2.0**squarings
+    b = _PADE13
     ident = np.eye(len(mat), dtype=mat.dtype)
     a2 = mat @ mat
-    if degree < 13:
-        powers = [ident, a2]
-        while len(powers) <= degree // 2:
-            powers.append(powers[-1] @ a2)
-        u = mat @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = mat @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                   + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = mat @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+               + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     result = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
         result = result @ result
@@ -500,6 +486,8 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
         picks = _draw_index(np.cumsum(channel_weights, axis=1) / total, streams.take(live))
         norms = np.sqrt(channel_weights[np.arange(len(picks)), picks])[:, None]
         t_done = t_done + t_jump
+        # The channels picked, in order; np.unique would load numpy.ma on the
+        # first call.
         for idx in np.flatnonzero(np.bincount(picks)):
             rows = picks == idx
             jumped = blocks.jump(psi[rows], channels[idx].operator, t0 + t_done[rows])

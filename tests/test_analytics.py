@@ -21,7 +21,7 @@ from catsim.analytics import (
     total_dephasing_probability,
     trajectory_decay_curve,
 )
-from catsim.hilbert import cat_overlap
+from catsim.hilbert import DEFAULT_ALPHA, cat_overlap
 from catsim.model import SystemParams, cancellation_detuning
 from catsim.protocols import map_duration
 
@@ -130,12 +130,12 @@ def test_kick_infidelity_rejects_reversed_window():
         kick_infidelity(93e3, 2e-6, 1e-6)
 
 
-def quad_kick_infidelity(delta_chi, t0, t1, align=False):
+def quad_kick_infidelity(delta_chi, t0, t1, alpha, align=False):
     """Adaptive-quadrature reference for ``kick_infidelity``."""
     center = math.pi * delta_chi * (t0 + t1) if align else 0.0
     value, _ = quad(
-        lambda t: 1.0 - cat_overlap(2.0 * math.pi * delta_chi * t - center),
-        t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200,
+        lambda t: 1.0 - cat_overlap(2.0 * math.pi * delta_chi * t - center, alpha),
+        t0, t1, epsabs=1e-12, epsrel=1e-12, limit=500,
     )
     return value / (t1 - t0)
 
@@ -143,17 +143,19 @@ def quad_kick_infidelity(delta_chi, t0, t1, align=False):
 @pytest.mark.parametrize("protocol", ["gf", "ft"])
 def test_kick_infidelity_matches_adaptive_quadrature(protocol):
     # Every kick window of the error table, aligned and not, and the full
-    # turn that normalizes it.
-    for event in error_event_table(SystemParams(), protocol):
-        chi, (t0, t1) = event.delta_chi, event.window
-        if chi == 0.0 or t0 == t1:
-            continue
-        for window in ((t0, t1), (0.0, 1.0 / abs(chi))):
-            for align in (False, True):
-                expected = quad_kick_infidelity(chi, *window, align=align)
-                assert kick_infidelity(chi, *window, align=align) == pytest.approx(
-                    expected, abs=1e-10
-                )
+    # turn that normalizes it, at the default cat, at |alpha| = 3 (the
+    # largest one a quarter-turn panel holds) and past it.
+    for alpha in (DEFAULT_ALPHA, 3.0, 7.0):
+        for event in error_event_table(SystemParams(), protocol):
+            chi, (t0, t1) = event.delta_chi, event.window
+            if chi == 0.0 or t0 == t1:
+                continue
+            for window in ((t0, t1), (0.0, 1.0 / abs(chi))):
+                for align in (False, True):
+                    expected = quad_kick_infidelity(chi, *window, alpha, align=align)
+                    assert kick_infidelity(
+                        chi, *window, alpha, align=align
+                    ) == pytest.approx(expected, abs=1e-10)
 
 
 def test_dephasing_per_occurrence_published_values():

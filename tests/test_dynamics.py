@@ -334,8 +334,8 @@ def test_ramsey_default_parameters_in_expected_band():
     assert 500e-6 < t2 < 800e-6
 
 
-# 1-norms inside each Pade degree's bound (3, 5, 7, 9, 13) and past the
-# degree-13 bound, where the exponential scales and squares.
+# 1-norms from far below the degree-13 bound, where the approximant is used
+# unscaled, to past it, where the exponential scales and squares.
 @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 10.0, 100.0])
 def test_pade_exponential_matches_scipy(norm):
     rng = np.random.default_rng(int(1000 * norm))
