@@ -84,7 +84,7 @@ _NEWTON_CAP = 60
 
 @dataclass(frozen=True)
 class JumpRecord:
-    """One stochastic jump: segment-relative time and channel label."""
+    """One stochastic jump: time on the clock ``t0`` starts, and channel label."""
 
     time: float
     label: str
@@ -99,8 +99,11 @@ class TrajectoryResult:
 def trajectory_rng(seed: int, protocol_index: int = 0, trial_index: int = 0):
     """Counter-based generator giving independent streams per (protocol, trial).
 
-    Each index fills 32 bits of the key, so it must lie in [0, 2**32).
+    The seed fills one 64-bit key word, so it must lie in [0, 2**64); each
+    index fills 32 bits of the other, so it must lie in [0, 2**32).
     """
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
     for name, index in (("protocol", protocol_index), ("trial", trial_index)):
         if not 0 <= int(index) < 2**32:
             raise ValueError(f"{name} index {index} outside [0, 2**32)")
@@ -242,18 +245,31 @@ def evolve_master(
     dimension past the superoperator limit.
     """
     rho = as_density(state).astype(complex)
-    d = rho.shape[0]
+    return _master_evolution(ham, channels, duration, rho.shape[0], dt)(rho)
+
+
+def _master_evolution(ham: HamiltonianSpec, channels, duration: float, d: int, dt=None):
+    """The map taking a d x d density matrix through ``duration``, built once.
+
+    The map is the superoperator propagator or the RK4 stepper, chosen as
+    ``evolve_master`` chooses; apply it to as many densities as needed.
+    """
     if duration == 0.0:
-        return rho
+        return lambda rho: rho
     if dt is None and ham.is_static and d <= SUPEROP_DIM_LIMIT:
-        flat = master_propagator(ham, channels, duration) @ rho.reshape(-1)
-        out = flat.reshape(d, d)
-        out = 0.5 * (out + out.conj().T)
-        return out / np.real(np.trace(out))
-    return _master_rk4(rho, ham, channels, duration, dt)
+        prop = master_propagator(ham, channels, duration)
+
+        def apply(rho):
+            out = (prop @ rho.reshape(-1)).reshape(d, d)
+            out = 0.5 * (out + out.conj().T)
+            return out / np.real(np.trace(out))
+
+        return apply
+    return _master_rk4(ham, channels, duration, dt)
 
 
-def _master_rk4(rho, ham, channels, duration, dt):
+def _master_rk4(ham, channels, duration, dt):
+    """RK4 stepping of the Lindblad equation through ``duration``, as a map."""
     ops = [chan.operator for chan in channels]
     dags = [op.conj().T for op in ops]
     gamma_tot = sum(dag @ op for op, dag in zip(ops, dags)) if ops else None
@@ -275,21 +291,25 @@ def _master_rk4(rho, ham, channels, duration, dt):
         dt = min(duration / 2000.0, 1.0 / (50.0 * _frequency_scale(ham, max_rate)))
     steps = max(1, int(math.ceil(duration / dt)))
     dt = duration / steps
-    t = 0.0
     check_every = max(1, steps // 10)
-    for k in range(steps):
-        rho = _rk4_step(rhs, rho, t, dt)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.real(np.trace(rho))
-        t += dt
-        if (k + 1) % check_every == 0 or k == steps - 1:
-            eigmin = float(np.linalg.eigvalsh(rho)[0])
-            if eigmin < POSITIVITY_FLOOR:
-                raise RuntimeError(
-                    f"density matrix lost positivity (min eigenvalue {eigmin:.2e}); "
-                    "reduce the integration step"
-                )
-    return rho
+
+    def apply(rho):
+        t = 0.0
+        for k in range(steps):
+            rho = _rk4_step(rhs, rho, t, dt)
+            rho = 0.5 * (rho + rho.conj().T)
+            rho /= np.real(np.trace(rho))
+            t += dt
+            if (k + 1) % check_every == 0 or k == steps - 1:
+                eigmin = float(np.linalg.eigvalsh(rho)[0])
+                if eigmin < POSITIVITY_FLOOR:
+                    raise RuntimeError(
+                        f"density matrix lost positivity (min eigenvalue {eigmin:.2e}); "
+                        "reduce the integration step"
+                    )
+        return rho
+
+    return apply
 
 
 def run_trajectory(
@@ -302,10 +322,10 @@ def run_trajectory(
 ) -> TrajectoryResult:
     """One stochastic wave-function trajectory over ``duration`` from ``t0``.
 
-    Returns the normalized final state and the jump records with times
-    relative to the segment start.  Needs an explicit numpy Generator so
-    that callers own reproducibility.  This is a one-row call of
-    ``run_trajectories``.
+    Returns the normalized final state and the jump records, timed on the
+    clock ``t0`` starts: ``t0`` plus the offset into the segment.  Needs an
+    explicit numpy Generator so that callers own reproducibility.  This is
+    a one-row call of ``run_trajectories``.
     """
     psi = np.array(state, dtype=complex)
     states, jumps = run_trajectories(psi[None], ham, channels, duration, RowStreams([rng]), t0)
@@ -320,9 +340,10 @@ def run_trajectories(
     ``streams`` is a ``RowStreams`` with one entry per row.  Each row
     consumes its draws in the order ``run_trajectory`` would, so a row
     with its own generator ends exactly as it would alone.  Returns the
-    normalized final states and, per row, the tuple of jump records.
-    Without channels or duration the rows evolve unitarily and draw
-    nothing.  A generator outside the block structure is a ValueError.
+    normalized final states and, per row, the tuple of jump records timed
+    as ``t0`` plus the offset into the segment.  Without channels or
+    duration the rows evolve unitarily and draw nothing.  A generator
+    outside the block structure is a ValueError.
     """
     states = np.asarray(states, dtype=complex)
     blocks = _blocks(ham, channels)
@@ -400,14 +421,6 @@ class _Blocks:
         terms[:, self.upper] = up.real**2 + up.imag**2
         terms[:, self.lower] = low.real**2 + low.imag**2
 
-    def survival(self, psi, weights, t):
-        """Each row's squared norm after its time t: its survival to t."""
-        if not self.upper.size:
-            return np.einsum("rd,rd->r", weights, _exp_rows(-self.gamma, t))
-        terms = weights * _exp_rows(-self.gamma, t)
-        self.weigh_pairs(psi, t, terms)
-        return terms.sum(axis=1)
-
     def jump(self, psi, op, t):
         """Rows in the frame after ``op`` strikes at times t."""
         return self.frame(self.frame(psi, t, -1) @ op.T, t, 1)
@@ -451,10 +464,12 @@ def _evolve_rows(blocks, psi, duration, t0):
 def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
     """Exact waiting-time trajectories of normalized rows, all at once.
 
-    Each pass draws one threshold per live row; rows whose end-of-segment
-    survival stays above it finish by the block propagator, the rest jump
-    at the time their survival falls to the threshold.  Rows evolve in
-    the drive's frame, entered at ``t0`` and left at the segment's end.
+    Each pass draws one threshold per live row and propagates the live
+    rows to the segment's end; a row's survival is its squared norm there.
+    Rows whose survival stays above the threshold finish with that state,
+    the rest jump at the time their survival falls to the threshold.  Rows
+    evolve in the drive's frame, entered at ``t0`` and left at the
+    segment's end.
     """
     out = np.empty_like(psi)
     jumps = [()] * len(psi)
@@ -464,18 +479,21 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
     while live.size:
         remaining = duration - t_done
         r = streams.take(live).uniforms()
-        weights = psi.real**2 + psi.imag**2
-        # A row's survival to the end of the segment is its norm there.
-        survival = blocks.survival(psi, weights, remaining)
+        ends = blocks.propagate(psi, remaining)
+        parts = ends.view(float)  # real and imaginary parts side by side
+        survival = np.einsum("rk,rk->r", parts, parts)
         stay = survival >= r
         if stay.any():
-            done = blocks.frame(blocks.propagate(psi[stay], remaining[stay]), t0 + duration, -1)
-            out[live[stay]] = done / np.sqrt(survival[stay])[:, None]
+            # In place: a normalized copy would add a stack-sized array to
+            # the peak memory of every batched round.
+            np.divide(ends, np.sqrt(survival)[:, None], out=ends, where=stay[:, None])
+            out[live[stay]] = blocks.frame(ends[stay], t0 + duration, -1)
         jump = ~stay
         live, psi, t_done = live[jump], psi[jump], t_done[jump]
         if not live.size:
             break
-        t_jump, _ = _jump_times(weights[jump], blocks.gamma, r[jump], remaining[jump], blocks, psi)
+        weights = psi.real**2 + psi.imag**2
+        t_jump, _ = _jump_times(weights, blocks.gamma, r[jump], remaining[jump], blocks, psi)
         psi = blocks.propagate(psi, t_jump)
         # Channel weights |L psi|^2 from the L+L diagonals; the chosen one
         # is the squared norm of the jumped row.
@@ -492,7 +510,7 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
             rows = picks == idx
             jumped = blocks.jump(psi[rows], channels[idx].operator, t0 + t_done[rows])
             psi[rows] = jumped / norms[rows]
-        for row, t, idx in zip(live, t_done, picks):
+        for row, t, idx in zip(live, t0 + t_done, picks):
             jumps[row] += (JumpRecord(time=float(t), label=channels[idx].label),)
     return out, jumps
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -54,6 +55,17 @@ _DEFAULT_ASSIGNMENT = (
 )
 
 
+def _finite_number(value) -> bool:
+    """True for a finite real number; a bool or a string is not one."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value)
+
+
+def _row_sequence(value) -> bool:
+    """True for a list, tuple or array of three items."""
+    return isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3
+
+
 def _exact_diagonal(mat: np.ndarray):
     """Copy of the diagonal of ``mat``, or None if any off-diagonal entry is nonzero."""
     diag = np.diagonal(mat)
@@ -91,16 +103,22 @@ class SystemParams:
     assignment_error: tuple = _DEFAULT_ASSIGNMENT
 
     def __post_init__(self):
+        for field in fields(self):
+            if field.name != "assignment_error" and not _finite_number(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be a finite number")
         for name in ("T1_cavity", "T1_eg", "T1_fe", "Tphi_g", "Tphi_e", "Tphi_f",
                      "omega_sb", "t_ro", "drive_dephasing_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_th < 0:
             raise ValueError("n_th must be non-negative")
-        matrix = tuple(tuple(float(x) for x in row) for row in self.assignment_error)
-        object.__setattr__(self, "assignment_error", matrix)
-        if len(matrix) != 3 or any(len(row) != 3 for row in matrix):
+        rows = self.assignment_error
+        if not (_row_sequence(rows) and all(_row_sequence(row) for row in rows)):
             raise ValueError("assignment_error must be a 3x3 matrix over (g, e, f)")
+        if not all(_finite_number(x) for row in rows for x in row):
+            raise ValueError("assignment_error entries must be finite numbers")
+        matrix = tuple(tuple(float(x) for x in row) for row in rows)
+        object.__setattr__(self, "assignment_error", matrix)
         for row in matrix:
             if any(x < 0 for x in row):
                 raise ValueError("assignment_error entries must be non-negative")

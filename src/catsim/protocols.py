@@ -24,9 +24,8 @@ from .dynamics import (
     JumpRecord,
     RowStreams,
     _draw_index,
+    _master_evolution,
     _row_blocks,
-    evolve_master,
-    evolve_unitary,
     run_trajectories,
     trajectory_rng,
 )
@@ -194,36 +193,6 @@ _OPENING = {
 _CLOSING = {protocol: u.conj().T for protocol, u in _OPENING.items()}
 
 
-def _wait_segment(psi, ham, channels, duration, rng, injected, basis):
-    """Evolve through the wait, applying injected errors at their times.
-
-    Each span starts at its offset into the wait, where a drive's phase stands.
-    """
-    events = sorted(injected, key=lambda e: e.at)
-    if any(not 0.0 <= err.at <= 1.0 for err in events):
-        raise ValueError("injected error time must lie in [0, 1]")
-    jumps = []
-    t_done = 0.0
-    for err in events + [None]:
-        t_target = duration if err is None else err.at * duration
-        span = t_target - t_done
-        if span > 0.0 and rng is None:
-            psi = evolve_unitary(psi, ham, span, t0=t_done)
-        elif span > 0.0:
-            out, new = run_trajectories(psi[None], ham, channels, span, RowStreams([rng]), t_done)
-            psi = out[0]
-            jumps += [JumpRecord(time=t_done + j.time, label=j.label) for j in new[0]]
-        t_done = t_target
-        if err is not None:
-            psi = error_operator(err.name, basis) @ psi
-            norm = np.linalg.norm(psi)
-            if norm < 1e-12:
-                raise ValueError(f"injected error {err.name!r} annihilated the state")
-            psi = psi / norm
-            jumps.append(JumpRecord(time=t_done, label=f"injected:{err.name}"))
-    return psi, jumps
-
-
 def parity_map(
     state: np.ndarray,
     params: SystemParams,
@@ -239,25 +208,52 @@ def parity_map(
     With ``rng=None`` the evolution is purely unitary (plus any injected
     errors); with a generator the wait runs as a stochastic trajectory.
     Returns ``(state, jumps)`` with jump times relative to the wait start.
+    This is a one-row call of the batched map.
     """
     _check_protocol(protocol)
     validate_state(state)
+    stack = np.asarray(state, dtype=complex).reshape(1, 4, basis.dim)
+    streams = None if rng is None else RowStreams([rng])
+    out, jumps = _map_rows(stack, params, protocol, basis, streams, drive, drive_mode, injected)
+    return out[0].reshape(4 * basis.dim), jumps[0]
+
+
+def _map_rows(
+    stack, params, protocol, basis, streams, drive=None, drive_mode="effective", injected=()
+):
+    """``parity_map`` on a (rows, 4, dim) stack; without streams the wait is unitary.
+
+    Each injected error strikes every row at its fraction of the wait, and
+    each span starts at its offset into the wait, where a drive's phase
+    stands.
+    """
+    events = sorted(injected, key=lambda err: err.at)
+    if any(not 0.0 <= err.at <= 1.0 for err in events):
+        raise ValueError("injected error time must lie in [0, 1]")
     ham, channels = _map_context(params, basis, protocol, drive, drive_mode)
+    if streams is None:
+        channels = ()
     wait = map_duration(params, protocol)
-
-    dim = basis.dim
-    psi = _OPENING[protocol] @ np.asarray(state, dtype=complex).reshape(4, dim)
-    psi, jumps = _wait_segment(psi.reshape(4 * dim), ham, channels, wait, rng, injected, basis)
-    return (_CLOSING[protocol] @ psi.reshape(4, dim)).reshape(4 * dim), tuple(jumps)
-
-
-def _map_rows(stack, params, protocol, basis, streams, drive=None, drive_mode="effective"):
-    """``parity_map`` with a trajectory wait on a (rows, 4, dim) stack."""
-    ham, channels = _map_context(params, basis, protocol, drive, drive_mode)
+    # Rebound, so a stack the caller passed as a temporary is freed during
+    # the wait.
     stack = _OPENING[protocol] @ stack
-    flat, jumps = run_trajectories(
-        stack.reshape(len(stack), -1), ham, channels, map_duration(params, protocol), streams
-    )
+    flat = stack.reshape(len(stack), -1)
+    jumps = [()] * len(flat)
+    t_done = 0.0
+    for err in events + [None]:
+        t_target = wait if err is None else err.at * wait
+        if t_target > t_done:
+            flat, span = run_trajectories(flat, ham, channels, t_target - t_done, streams, t_done)
+            jumps = list(map(tuple.__add__, jumps, span))
+        t_done = t_target
+        if err is not None:
+            flat = flat @ error_operator(err.name, basis).T
+            norms = np.linalg.norm(flat, axis=1, keepdims=True)
+            if np.any(norms < 1e-12):
+                raise ValueError(f"injected error {err.name!r} annihilated the state")
+            flat = flat / norms
+            record = JumpRecord(time=t_done, label=f"injected:{err.name}")
+            jumps = [row + (record,) for row in jumps]
     return _CLOSING[protocol] @ flat.reshape(stack.shape), jumps
 
 
@@ -446,12 +442,13 @@ def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive):
     closing = lift_ancilla(_CLOSING[protocol], dim)
 
     survival = 1.0
-    wait = map_duration(params, protocol)
+    wait = _master_evolution(ham, channels, map_duration(params, protocol), 4 * dim)
+    readout = _master_evolution(ro_ham, ro_channels, params.t_ro, 4 * dim)
     for _ in range(n_rounds):
         rho = opening @ rho @ closing
-        rho = evolve_master(rho, ham, channels, wait)
+        rho = wait(rho)
         rho = closing @ rho @ opening
-        rho = evolve_master(rho, ro_ham, ro_channels, params.t_ro)
+        rho = readout(rho)
         blocks = rho.reshape(4, dim, 4, dim)
         # Postselect the reported-g branch: h folds into the f confusion row.
         kept = np.zeros((dim, dim), dtype=complex)

@@ -1,4 +1,5 @@
-"""Every name a module exports exists, once; the runtime needs numpy only."""
+"""Every name a module exports exists, once; the runtime needs numpy only;
+the benchmark's tracer finds every name it wraps."""
 
 import importlib
 import os
@@ -42,3 +43,36 @@ def test_cold_start_imports_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    # perfbench/tracer.py wraps catsim functions by name, so a rename in
+    # src/ breaks the traced benchmark; run it on a small traced pass.
+    out = str(tmp_path / "x.json")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.join(root, 'perfbench')!r})\n"
+        "import tracer, catsim.cli, catsim.protocols as protocols\n"
+        "from catsim.hilbert import CavityBasis\n"
+        "from catsim.model import SystemParams\n"
+        "trace = tracer.Tracer()\n"
+        "trace.install()\n"
+        "argv = ['parity-once', '--protocol', 'ft', '--drive', 'time-dependent',\n"
+        f"        '--fock-dim', '10', '--out', {out!r}]\n"
+        "assert catsim.cli.run(argv) == 0\n"
+        "protocols.repeated_parity(SystemParams(), 'gf', 3, basis=CavityBasis(10),\n"
+        "                          trials=3, seed=1)\n"
+        "layers = trace.per_layer()\n"
+        "assert set(layers) == set(tracer.PER_LAYER_METRICS)\n"
+        "print(layers['protocols.parity_map.calls'], layers['model.context.self_s'] > 0,\n"
+        "      layers['protocols.repeated_parity.self_s'] > 0, layers['cli.parity-once.s'] > 0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catsim.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["6", "True", "True", "True"]

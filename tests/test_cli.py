@@ -28,6 +28,38 @@ def test_unknown_parameter_key_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"t_ro": "abc"}',
+        '{"assignment_error": 5}',
+        '{"T1_eg": NaN}',
+        '{"T1_eg": true}',
+        '{"chi_e": NaN}',
+    ],
+)
+def test_non_numeric_or_non_finite_parameter_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "x.json"
+    argv = ["parity-decay", "--params", str(bad), "--trajectories", "20", "--n-max", "6"]
+    rc = cli.run(argv + ["--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "bad parameter file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["prep-cat", "parity-decay", "error-budget"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, experiment, seed):
+    out = tmp_path / "x.json"
+    argv = [experiment, "--seed", seed, "--trajectories", "1000", "--n-max", "6"]
+    rc = cli.run(argv + ["--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "seed" in capsys.readouterr().err
+
+
 def test_unknown_experiment_exits_2(tmp_path, capsys):
     rc = cli.run(["frobnicate", "--out", str(tmp_path / "x.json")])
     assert rc == 2

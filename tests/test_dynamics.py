@@ -388,6 +388,36 @@ def test_trajectory_rng_rejects_indices_outside_32_bits():
             trajectory_rng(7, protocol_index, trial_index)
 
 
+def test_trajectory_rng_rejects_seeds_outside_64_bits():
+    # The seed fills one 64-bit word of the Philox key; outside it numpy
+    # raised OverflowError, which the CLI did not report as a bad seed.
+    trajectory_rng(0)
+    trajectory_rng(2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed .* outside"):
+            trajectory_rng(seed)
+
+
+def test_jump_times_run_on_the_clock_t0_starts():
+    # A static generator does not care where the segment starts, so the
+    # same draws give the same offsets, and each jump is timed t0 + offset.
+    params = SystemParams()
+    basis = CavityBasis(dim=8)
+    ham, channels = build_hamiltonian(params, basis), collapse_channels(params, basis)
+    psi = joint_state("e", np.eye(8, dtype=complex)[2])
+    t0 = 3.7e-6
+    jumped = 0
+    for trial in range(20):
+        start = run_trajectory(psi, ham, channels, 40e-6, trajectory_rng(8, 0, trial))
+        later = run_trajectory(psi, ham, channels, 40e-6, trajectory_rng(8, 0, trial), t0=t0)
+        assert [(j.label, t0 + j.time) for j in start.jumps] == [
+            (j.label, j.time) for j in later.jumps
+        ]
+        assert np.array_equal(start.state, later.state)
+        jumped += bool(start.jumps)
+    assert jumped > 0
+
+
 def test_diagonal_caches_mark_exact_structure():
     diag = np.array([1.0, -2.0, 3.0], dtype=complex)
     assert np.array_equal(HamiltonianSpec(static=np.diag(diag)).static_diagonal, diag)

@@ -55,6 +55,29 @@ def test_invalid_scalars_rejected():
         SystemParams(n_th=-0.1)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"t_ro": "abc"},
+        {"T1_eg": math.nan},
+        {"chi_e": math.nan},
+        {"kerr": math.inf},
+        {"T1_eg": True},
+        {"n_th": None},
+        {"assignment_error": 5},
+        {"assignment_error": ((1, 0, 0), (0, 1, 0))},
+        {"assignment_error": ((1, 0, 0), (0, 1, 0), (0, 0, "1"))},
+        {"assignment_error": ((1, 0, 0), (0, 1, 0), (0, 0, True))},
+        {"assignment_error": ((1, 0, 0), (0, 1, 0), (0, 0, math.nan))},
+    ],
+)
+def test_non_numeric_and_non_finite_values_rejected(bad):
+    # Rejected, not converted: a NaN rate would drop its channel and a
+    # boolean would read as 1 s.
+    with pytest.raises(ValueError):
+        SystemParams(**bad)
+
+
 def test_from_json_roundtrip(tmp_path, params):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(params.to_dict()))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from catsim import protocols
+from catsim import dynamics, protocols
 from catsim.dynamics import RowStreams, evolve_unitary, trajectory_rng
 from catsim.hilbert import (
     CavityBasis,
@@ -309,6 +309,37 @@ def test_two_injections_keep_the_drive_phase():
     assert p_h == pytest.approx(0.206, abs=1e-3)
 
 
+def test_parity_map_is_a_row_of_the_batched_map(basis20, even_cat):
+    # Rows of one batch, each on its own stream, end as parity_map ends
+    # with that stream alone, injected errors included; the jumps of
+    # every span run on the wait's clock.
+    params = SystemParams()
+    psi = joint_state("g", even_cat)
+    injected = (InjectedError("cavity_loss", 0.6), InjectedError("relax_fe", 0.3))
+    wait = map_duration(params, "ft")
+    rows = 12
+    stack = np.broadcast_to(psi.reshape(1, 4, 20), (rows, 4, 20))
+    streams = RowStreams([trajectory_rng(6, 2, i) for i in range(rows)])
+    batch, jumps = protocols._map_rows(
+        stack, params, "ft", basis20, streams, drive_mode="time_dependent", injected=injected
+    )
+    stochastic = 0
+    for i in range(rows):
+        alone, alone_jumps = parity_map(
+            psi, params, "ft", basis20, rng=trajectory_rng(6, 2, i), injected=injected,
+            drive_mode="time_dependent",
+        )
+        assert np.max(np.abs(batch[i].reshape(-1) - alone)) <= 1e-12
+        assert [j.label for j in jumps[i]] == [j.label for j in alone_jumps]
+        times = [j.time for j in alone_jumps]
+        assert [j.time for j in jumps[i]] == pytest.approx(times, rel=1e-12)
+        assert times == sorted(times) and 0.0 <= times[0] and times[-1] <= wait
+        injected_at = [j.time for j in alone_jumps if j.label.startswith("injected:")]
+        assert injected_at == [0.3 * wait, 0.6 * wait]
+        stochastic += len(alone_jumps) - 2
+    assert stochastic > 0
+
+
 def test_readout_identity_assignment(basis20, even_cat):
     rng = trajectory_rng(3, 1, 0)
     psi = joint_state("g", even_cat)
@@ -523,6 +554,25 @@ def test_array_filter_rejects_a_record_of_zero_likelihood():
 def test_master_mode_budget(basis20):
     with pytest.raises(ValueError, match="budget"):
         repeated_parity(SystemParams(), "gf", 100, basis=basis20, mode="master")
+
+
+def test_master_mode_builds_each_evolution_once(monkeypatch):
+    # The wait and the readout propagators are built once per call, not
+    # once per round.
+    built = []
+    propagator = dynamics.master_propagator
+
+    def counted(*args):
+        built.append(args[2])
+        return propagator(*args)
+
+    monkeypatch.setattr(dynamics, "master_propagator", counted)
+    params = SystemParams()
+    ensemble = repeated_parity(
+        params, "gf", 3, basis=CavityBasis(4), initial_cavity=np.eye(4)[0], mode="master"
+    )
+    assert sorted(built) == sorted([map_duration(params, "gf"), params.t_ro])
+    assert 0.0 < ensemble.probability < 1.0
 
 
 def test_master_mode_rejects_time_dependent_drive():
