@@ -2,11 +2,10 @@
 
 __version__ = "0.1.0"
 
-from . import analytics, cli, dynamics, hilbert, model, protocols, tomography
+from . import analytics, dynamics, hilbert, model, protocols, tomography
 
 __all__ = [
     "analytics",
-    "cli",
     "dynamics",
     "hilbert",
     "model",

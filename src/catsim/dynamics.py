@@ -10,8 +10,8 @@ undriven and effective models are the all-1x1 case.  Every L+L is
 diagonal, so H' - (i/2) sum L+L has the same blocks.  Unitary evolution
 and the batched waiting-time trajectories (Dalibard, Castin & Molmer,
 PRL 68, 580 (1992)) are therefore exact, with jump times from a
-safeguarded Newton solve.  The master equation uses the superoperator
-exponential for small static problems and RK4 stepping otherwise.
+safeguarded Newton solve.  The master equation runs in such a frame,
+widened so that no channel turns, by superoperator exponential or RK4.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 # first trajectory call.
 from numpy.random import Generator, Philox
 
-from .hilbert import CavityBasis, as_density, joint_index, joint_state
+from .hilbert import (CavityBasis, as_density, joint_index, joint_state,
+                      validate_density, validate_state)
 from .model import (
     DriveSpec,
     HamiltonianSpec,
@@ -140,23 +141,6 @@ class RowStreams:
         return np.array([draw() for draw in self._draws], dtype=float)
 
 
-def _frequency_scale(ham: HamiltonianSpec, extra_rate: float = 0.0) -> float:
-    """Conservative bound (Hz) on the fastest timescale in the generator."""
-    scale = float(np.max(np.abs(ham.static))) if ham.static.size else 0.0
-    for op, freq in ham.periodic:
-        scale += 2.0 * float(np.max(np.sum(np.abs(op), axis=1)))
-        scale += 2.0 * math.pi * abs(freq)
-    return scale / (2.0 * math.pi) + extra_rate
-
-
-def _rk4_step(rhs, state, t, dt):
-    k1 = rhs(state, t)
-    k2 = rhs(state + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs(state + dt * k3, t + dt)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def evolve_unitary(
     state: np.ndarray,
     ham: HamiltonianSpec,
@@ -175,10 +159,8 @@ def evolve_unitary(
 
 
 def liouvillian(ham: HamiltonianSpec, channels) -> np.ndarray:
-    """Dense Lindblad generator acting on row-major vectorized densities."""
-    if not ham.is_static:
-        raise ValueError("superoperator form requires a static Hamiltonian")
-    h = ham.static
+    """Dense Lindblad generator on row-major vectorized densities, in a drive's frame."""
+    h = _frame(ham, channels)[0]
     d = h.shape[0]
     ident = np.eye(d, dtype=complex)
     sup = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
@@ -191,8 +173,34 @@ def liouvillian(ham: HamiltonianSpec, channels) -> np.ndarray:
 
 
 def master_propagator(ham: HamiltonianSpec, channels, duration: float) -> np.ndarray:
-    """exp(L t) for the static Lindblad generator; reusable across steps."""
+    """exp(L t) for ``liouvillian``'s generator; reusable across steps."""
     return _expm(liouvillian(ham, channels) * duration)
+
+
+def _frame(ham: HamiltonianSpec, channels):
+    """Static H' = H_static - omega P_S + op + op+ in the frame exp(-i omega t P_S), and omega P_S.
+
+    S grows from the drive's sources by each state that an operator (H_static
+    or a channel) links to S where it also links two states of S: the whole
+    h level for the sideband, as cavity loss reaches the undriven |h, dim-1>.
+    An operator left turning by more than a phase is a ValueError.
+    """
+    upper, lower, _, omega = ham.drive_pairs
+    if not upper.size:
+        return ham.static, np.zeros(len(ham.static))
+    links = [ham.static != 0.0] + [chan.operator != 0.0 for chan in channels]
+    inside = np.isin(np.arange(len(ham.static)), lower)
+    size = 0
+    while size < inside.sum():
+        size = inside.sum()
+        for link in links:
+            if link[np.ix_(inside, inside)].any():
+                inside = inside | link[:, inside].any(axis=1) | link[inside].any(axis=0)
+    steps = [inside[rows].astype(int) - inside[cols] for rows, cols in map(np.nonzero, links)]
+    if inside[upper].any() or any(np.any(step != step[:1]) for step in steps):
+        raise ValueError("no frame makes the drive and every channel static")
+    ((op, _),) = ham.periodic
+    return ham.static - omega * np.diag(inside) + op + op.conj().T, omega * inside
 
 
 # Pade-13 coefficients b_0..b_13 of exp and the 1-norm up to which the
@@ -237,13 +245,14 @@ def evolve_master(
     duration: float,
     dt: float | None = None,
 ) -> np.ndarray:
-    """Evolve a density matrix under the Lindblad equation.
+    """Evolve a unit state vector or a density matrix under the Lindblad equation.
 
-    Small static problems go through the exact superoperator exponential;
-    passing ``dt`` forces RK4 stepping with that step (useful for
-    convergence checks), as does a time-dependent Hamiltonian or a
-    dimension past the superoperator limit.
+    Small problems go through the exact superoperator exponential; passing ``dt``
+    forces RK4 stepping with that step (useful for convergence checks), as does
+    a dimension past the superoperator limit; either runs a drive in its frame
+    and returns the lab-frame state.
     """
+    (validate_state if np.ndim(state) == 1 else validate_density)(state)
     rho = as_density(state).astype(complex)
     return _master_evolution(ham, channels, duration, rho.shape[0], dt)(rho)
 
@@ -251,34 +260,34 @@ def evolve_master(
 def _master_evolution(ham: HamiltonianSpec, channels, duration: float, d: int, dt=None):
     """The map taking a d x d density matrix through ``duration``, built once.
 
-    The map is the superoperator propagator or the RK4 stepper, chosen as
-    ``evolve_master`` chooses; apply it to as many densities as needed.
+    The map is the superoperator propagator or the RK4 stepper, chosen and
+    run as in ``evolve_master``; apply it to as many densities as needed.
     """
     if duration == 0.0:
         return lambda rho: rho
-    if dt is None and ham.is_static and d <= SUPEROP_DIM_LIMIT:
+    h, turn = _frame(ham, channels)
+    if dt is None and d <= SUPEROP_DIM_LIMIT:
         prop = master_propagator(ham, channels, duration)
 
-        def apply(rho):
+        def evolve(rho):
             out = (prop @ rho.reshape(-1)).reshape(d, d)
             out = 0.5 * (out + out.conj().T)
             return out / np.real(np.trace(out))
 
-        return apply
-    return _master_rk4(ham, channels, duration, dt)
+    else:
+        evolve = _master_rk4(h, channels, duration, dt)
+    leave = np.exp(-1j * duration * turn)
+    return (lambda rho: leave[:, None] * evolve(rho) * leave.conj()) if turn.any() else evolve
 
 
-def _master_rk4(ham, channels, duration, dt):
-    """RK4 stepping of the Lindblad equation through ``duration``, as a map."""
+def _master_rk4(h, channels, duration, dt):
+    """RK4 stepping of the Lindblad equation under the static ``h``, as a map."""
     ops = [chan.operator for chan in channels]
     dags = [op.conj().T for op in ops]
     gamma_tot = sum(dag @ op for op, dag in zip(ops, dags)) if ops else None
     max_rate = max((chan.rate for chan in channels), default=0.0)
-    static = ham.is_static
-    h_static = ham.static
 
-    def rhs(mat, t):
-        h = h_static if static else ham.matrix(t)
+    def rhs(mat):
         out = -1j * (h @ mat - mat @ h)
         for op, dag in zip(ops, dags):
             out += op @ mat @ dag
@@ -288,18 +297,21 @@ def _master_rk4(ham, channels, duration, dt):
         return out
 
     if dt is None:
-        dt = min(duration / 2000.0, 1.0 / (50.0 * _frequency_scale(ham, max_rate)))
+        scale = np.linalg.norm(h, np.inf) / (2.0 * math.pi) + max_rate
+        dt = min(duration / 2000.0, 1.0 / (50.0 * scale))
     steps = max(1, int(math.ceil(duration / dt)))
     dt = duration / steps
     check_every = max(1, steps // 10)
 
     def apply(rho):
-        t = 0.0
         for k in range(steps):
-            rho = _rk4_step(rhs, rho, t, dt)
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             rho = 0.5 * (rho + rho.conj().T)
             rho /= np.real(np.trace(rho))
-            t += dt
             if (k + 1) % check_every == 0 or k == steps - 1:
                 eigmin = float(np.linalg.eigvalsh(rho)[0])
                 if eigmin < POSITIVITY_FLOOR:
@@ -438,19 +450,11 @@ def _blocks(ham: HamiltonianSpec, channels) -> _Blocks:
     products = [chan.product_diag for chan in channels]
     if any(p is None for p in products):
         raise ValueError("exact evolution needs every L+L product to be diagonal")
-    if len(ham.periodic) > 1:
-        raise ValueError("exact evolution handles one periodic term")
+    upper, lower, coupling, omega = ham.drive_pairs
     products = np.array(products, dtype=float).reshape(len(products), diag.size)
     gamma = np.sum(products, axis=0)
-    h, omega = diag.copy(), 0.0
-    upper = lower = np.zeros(0, dtype=int)
-    coupling = np.zeros(0, dtype=complex)
-    for op, freq_hz in ham.periodic:
-        upper, lower = np.nonzero(op)
-        if len(set(upper) | set(lower)) < 2 * upper.size:
-            raise ValueError("the periodic term must couple disjoint pairs of basis states")
-        coupling, omega = op[upper, lower], 2.0 * math.pi * freq_hz
-        h[lower] -= omega
+    h = diag.copy()
+    h[lower] -= omega
     freq = -1j * h - 0.5 * gamma
     return _Blocks(freq, gamma, products, upper, lower, coupling, omega)
 

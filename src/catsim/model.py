@@ -181,6 +181,20 @@ class HamiltonianSpec:
         """Diagonal of the static part, or None if it has off-diagonal terms."""
         return _exact_diagonal(self.static)
 
+    @cached_property
+    def drive_pairs(self):
+        """The drive's ``(upper, lower, coupling, omega)``: ``op[upper, lower] = coupling``.
+
+        ``omega`` is 2 pi f.  Empty when static; a ValueError for more than
+        one periodic term or for pairs that are not disjoint."""
+        if len(self.periodic) > 1:
+            raise ValueError("exact evolution handles one periodic term")
+        op, freq_hz = self.periodic[0] if self.periodic else (np.zeros_like(self.static), 0.0)
+        upper, lower = np.nonzero(op)
+        if len(set(upper) | set(lower)) < 2 * upper.size:
+            raise ValueError("the periodic term must couple disjoint pairs of basis states")
+        return upper, lower, op[upper, lower], TWO_PI * freq_hz
+
     def matrix(self, t: float) -> np.ndarray:
         h = np.array(self.static, dtype=complex)
         for op, freq in self.periodic:

@@ -355,16 +355,14 @@ def repeated_parity(
     seeded streams when ``trials`` is given.  The trials run as rows of
     one batch, each giving the record it gives alone, and the rounds are
     built from the batch's record arrays.  Master mode propagates the
-    full density matrix and returns the postselected all-g ensemble; its
-    cost grows as rounds times the squared joint dimension, so it is
-    budget-capped to small problems, and it runs the effective drive only.
+    full density matrix, under either drive, and returns the postselected
+    all-g ensemble; its cost grows as rounds times the squared joint
+    dimension, so it is budget-capped to small problems.
     """
     _check_protocol(protocol)
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds}")
     if mode == "master":
-        if drive_mode != "effective":
-            raise ValueError(f"master mode runs the effective drive only, not {drive_mode!r}")
         cost = n_rounds * (4 * basis.dim) ** 2
         if cost > MASTER_BUDGET:
             raise ValueError(
@@ -385,7 +383,7 @@ def repeated_parity(
         cavity = np.asarray(initial_cavity, dtype=complex)
         validate_state(cavity)
     if mode == "master":
-        return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive)
+        return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive, drive_mode)
     rngs = [rng] if trials is None else _trial_rngs(seed, protocol, trials)
     reported, truth, cavities, jumps = _records(
         params, protocol, n_rounds, basis, cavity, drive, drive_mode, rngs
@@ -430,9 +428,9 @@ def _records(params, protocol, n_rounds, basis, cavity, drive, drive_mode, rngs)
     return reported, truth, cavities, jumps
 
 
-def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive):
+def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive, drive_mode):
     dim = basis.dim
-    ham, channels = _map_context(params, basis, protocol, drive, "effective")
+    ham, channels = _map_context(params, basis, protocol, drive, drive_mode)
     ro_ham, ro_channels = _readout_context(params, basis)
     confusion = np.array(params.assignment_error)
 

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import catsim
 import catsim.cli as cli
 
 
@@ -278,3 +282,16 @@ def test_t2_sweep_peaks_near_cancellation(tmp_path):
     assert max(data["t2_model_s"]) == pytest.approx(1.9e-3, rel=0.15)
     for ramsey, model in zip(data["t2_ramsey_s"], data["t2_model_s"]):
         assert ramsey == pytest.approx(model, rel=0.15)
+
+
+def test_module_entry_point_runs_without_a_runpy_warning():
+    # runpy warns when the package has imported catsim.cli before
+    # `python -m catsim.cli` executes it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catsim.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "catsim.cli", "--help"], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr

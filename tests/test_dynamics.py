@@ -119,14 +119,15 @@ def test_master_exact_single_channel_decay():
 
 
 def test_master_rk4_matches_superoperator():
+    # Undriven, and with the real drive, which both paths run in its frame.
     params = SystemParams()
     basis = CavityBasis(dim=6)
-    ham = build_hamiltonian(params, basis)
-    channels = collapse_channels(params, basis)
+    undriven = (build_hamiltonian(params, basis), collapse_channels(params, basis))
     psi = joint_state("e", cat_state(1.1, basis))
-    exact = evolve_master(psi, ham, channels, 2e-6)
-    stepped = evolve_master(psi, ham, channels, 2e-6, dt=1e-9)
-    assert np.max(np.abs(exact - stepped)) < 1e-7
+    for ham, channels in (undriven, driven(6, DRIVE_DETUNINGS[1])):
+        exact = evolve_master(psi, ham, channels, 2e-6)
+        stepped = evolve_master(psi, ham, channels, 2e-6, dt=1e-9)
+        assert np.max(np.abs(exact - stepped)) < 1e-7
 
 
 def test_master_step_doubling_converges():
@@ -142,6 +143,17 @@ def test_master_step_doubling_converges():
     err_fine = np.max(np.abs(fine - exact))
     assert err_fine < err_coarse
     assert err_fine < 1e-8
+
+
+def test_evolve_master_rejects_invalid_states():
+    ham, chan = two_level_ham(), decay_channel(1e4)
+    psi = np.array([0.6, 0.8j])
+    with pytest.raises(ValueError, match="norm"):
+        evolve_master(3.0 * psi, ham, (chan,), 1e-6)
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve_master(np.array([np.nan, 1.0]), ham, (chan,), 1e-6)
+    with pytest.raises(ValueError, match="trace"):
+        evolve_master(3.0 * np.outer(psi, psi.conj()), ham, (chan,), 1e-6)
 
 
 def test_master_positivity_guard_trips_on_huge_step():
@@ -512,6 +524,19 @@ def random_rows(rng, rows, size):
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
+def rk4_lab(rhs, y, t, duration, steps):
+    """Classic RK4 of y' = rhs(y, t) from t through ``duration`` in equal steps."""
+    dt = duration / steps
+    for _ in range(steps):
+        k1 = rhs(y, t)
+        k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(y + dt * k3, t + dt)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+    return y
+
+
 def rk4_unitary(psi, ham, duration, t0):
     """Lab-frame RK4 of i psi' = H(t) psi, 50 steps per period of the fastest rate."""
     scale = float(np.max(np.abs(ham.static)))
@@ -519,20 +544,23 @@ def rk4_unitary(psi, ham, duration, t0):
         scale += 2.0 * float(np.max(np.sum(np.abs(op), axis=1))) + TWO_PI * abs(freq)
     dt = min(duration / 10.0, 1.0 / (50.0 * scale / TWO_PI))
     steps = max(1, math.ceil(duration / dt))
-    dt = duration / steps
-
-    def rhs(vec, t):
-        return -1j * (ham.matrix(t) @ vec)
-
-    t = t0
-    for _ in range(steps):
-        k1 = rhs(psi, t)
-        k2 = rhs(psi + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(psi + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(psi + dt * k3, t + dt)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
+    psi = rk4_lab(lambda vec, t: -1j * (ham.matrix(t) @ vec), psi, t0, duration, steps)
     return psi / np.linalg.norm(psi)
+
+
+def rk4_lindblad(psi, ham, channels, duration, dt):
+    """Lab-frame RK4 of the Lindblad equation with H(t) = ham.matrix(t), from t = 0."""
+    ops = [chan.operator for chan in channels]
+    pairs = [(op, op.conj().T, op.conj().T @ op) for op in ops]
+
+    def rhs(rho, t):
+        h = ham.matrix(t)
+        out = -1j * (h @ rho - rho @ h)
+        for op, dag, ldl in pairs:
+            out += op @ rho @ dag - 0.5 * (ldl @ rho + rho @ ldl)
+        return out
+
+    return rk4_lab(rhs, np.outer(psi, psi.conj()), 0.0, duration, round(duration / dt))
 
 
 @pytest.mark.parametrize("delta", DRIVE_DETUNINGS)
@@ -648,9 +676,41 @@ def test_first_jump_time_cdf_matches_block_survival():
     assert np.max(np.abs(np.array(empirical) - expected)) < 0.03
 
 
+def edge_case():
+    # Cavity loss at T1 = 5 us on a state at the truncation edge: the
+    # channel takes |h, 3>, which the drive leaves alone, to the driven
+    # |h, 2>.
+    params = SystemParams(T1_cavity=5e-6)
+    basis = CavityBasis(dim=4)
+    drive = DriveSpec(params.omega_sb, DRIVE_DETUNINGS[1])
+    ham = build_hamiltonian(params, basis, mode="time_dependent", drive=drive)
+    psi = np.zeros(16, dtype=complex)
+    for level, n in (("h", 2), ("h", 3), ("e", 3)):
+        psi[joint_index(level, n, 4)] = 1.0 / math.sqrt(3.0)
+    return psi, ham, collapse_channels(params, basis, drive_on=True), 1e-7
+
+
+def cat_case():
+    ham, channels = driven(6, DRIVE_DETUNINGS[1])
+    anc = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(3.0)
+    return np.kron(anc, cat_state(1.0, CavityBasis(dim=6))), ham, channels, 1e-8
+
+
+@pytest.mark.parametrize("case", [cat_case, edge_case])
+def test_driven_master_matches_lab_frame_lindblad(case):
+    # The frame's derivation is not shared: the reference steps the
+    # lab-frame H(t) at 1 ns.  The edge case fails by 3e-2 if the frame
+    # turns only the drive's source states, which leaves cavity loss
+    # time-dependent at |h, dim-1>.
+    psi, ham, channels, tolerance = case()
+    exact = evolve_master(psi, ham, channels, 2e-6)
+    reference = rk4_lindblad(psi, ham, channels, 2e-6, 1e-9)
+    assert np.max(np.abs(exact - reference)) <= tolerance
+
+
 def test_time_dependent_ensemble_matches_master():
-    # The exact block trajectories average to the RK4 master equation of
-    # the oscillating drive.
+    # The exact block trajectories average to the master equation of the
+    # oscillating drive.
     ham, channels = driven(6, DRIVE_DETUNINGS[1])
     anc = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(3.0)
     psi = np.kron(anc, cat_state(1.0, CavityBasis(dim=6)))
@@ -675,6 +735,24 @@ def test_generators_outside_the_block_structure_are_rejected():
     chain[0, 1] = chain[1, 2] = 1e6
     with pytest.raises(ValueError, match="disjoint pairs"):
         evolve_unitary(psi, HamiltonianSpec(static=zero, periodic=((chain, 1e6),)), 1e-6)
+    pair = np.zeros((3, 3), dtype=complex)
+    pair[0, 1] = 1e6
+    for periodic, message in (
+        (((fan, 1e6),), "disjoint pairs"),
+        (((chain, 1e6),), "disjoint pairs"),
+        (((pair, 1e6), (pair, 2e6)), "one periodic term"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            evolve_master(psi, HamiltonianSpec(static=zero, periodic=periodic), (), 1e-6)
+    # The drive takes |1> to |0>, so the frame turns |1> but not |0>; a
+    # channel that swaps them, or that both keeps |1> and takes it to
+    # |0>, then picks up more than a global phase in any frame.
+    swap, mix = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    swap[0, 1] = swap[1, 0] = mix[1, 1] = mix[0, 1] = 1.0
+    driven_pair = HamiltonianSpec(static=zero, periodic=((pair, 1e6),))
+    for op in (swap, mix):
+        with pytest.raises(ValueError, match="no frame"):
+            evolve_master(psi, driven_pair, (CollapseChannel("c", op, 1.0),), 1e-6)
     flip = CollapseChannel("flip", np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex), 1.0)
     with pytest.raises(ValueError, match="product to be diagonal"):
         run_trajectory(psi[:2], two_level_ham(), (flip,), 1e-6, trajectory_rng(0))

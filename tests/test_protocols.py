@@ -575,14 +575,6 @@ def test_master_mode_builds_each_evolution_once(monkeypatch):
     assert 0.0 < ensemble.probability < 1.0
 
 
-def test_master_mode_rejects_time_dependent_drive():
-    with pytest.raises(ValueError, match="effective drive only"):
-        repeated_parity(
-            SystemParams(), "ft", 1, basis=CavityBasis(8), mode="master",
-            drive_mode="time_dependent",
-        )
-
-
 def test_repeated_parity_rejects_invalid_initial_cavity(basis20, even_cat):
     with pytest.raises(ValueError, match="norm"):
         repeated_parity(QUIET, "gf", 1, trajectory_rng(1, 1, 0), basis20,
@@ -602,7 +594,6 @@ def test_repeated_parity_reports_configuration_errors_before_building_the_cat():
         (-3, dict(mode="master"), "n_rounds"),
         (1, dict(trials=0, seed=1), "trials"),
         (1, dict(trials=-2), "trials"),
-        (1, dict(mode="master", drive_mode="time_dependent"), "effective drive only"),
         (1, dict(mode="bogus"), "unknown mode"),
         (1000, dict(mode="master"), "budget"),
         (1, dict(trials=2), "seed"),
@@ -638,27 +629,35 @@ def test_readout_and_reset_rejects_an_invalid_state(basis20, even_cat):
 
 
 @pytest.mark.slow
-def test_master_matches_trajectory_statistics():
+@pytest.mark.parametrize(
+    "protocol, drive_mode, dim",
+    [("gf", "effective", 8), ("ft", "time_dependent", 6)],
+    ids=["gf-effective", "ft-time_dependent"],
+)
+def test_master_matches_trajectory_statistics(protocol, drive_mode, dim):
     # The postselected all-g weight from the density-matrix propagation
-    # is an independent oracle for the sampled pipeline.
-    basis = CavityBasis(8)
+    # is an independent oracle for the sampled pipeline; with the real
+    # drive, so is the all-g cavity state.
+    basis = CavityBasis(dim)
     params = SystemParams()
-    coherent = np.zeros(8, dtype=complex)
+    coherent = np.zeros(dim, dtype=complex)
     amps = [1.0]
-    for n in range(1, 8):
+    for n in range(1, dim):
         amps.append(amps[-1] / math.sqrt(n))
     coherent[:] = np.array(amps) * math.exp(-0.5)
     coherent /= np.linalg.norm(coherent)
 
-    ensemble = repeated_parity(
-        params, "gf", 2, basis=basis, initial_cavity=coherent, mode="master"
-    )
-    records = repeated_parity(
-        params, "gf", 2, basis=basis, initial_cavity=coherent, trials=4000, seed=21
-    )
-    frac = np.mean([all(r.outcome == "g" for r in rec) for rec in records])
+    common = dict(basis=basis, initial_cavity=coherent, drive_mode=drive_mode)
+    ensemble = repeated_parity(params, protocol, 2, mode="master", **common)
+    records = repeated_parity(params, protocol, 2, trials=4000, seed=21, **common)
+    kept = [rec[-1].cavity for rec in records if all(r.outcome == "g" for r in rec)]
+    frac = len(kept) / 4000
     sigma = math.sqrt(ensemble.probability * (1 - ensemble.probability) / 4000)
     assert abs(frac - ensemble.probability) < 3.5 * sigma
+    if drive_mode == "time_dependent":
+        sampled = np.mean([np.outer(c, c.conj()) for c in kept], axis=0)
+        gap = sampled - ensemble.state[:dim, :dim]
+        assert 0.5 * np.sum(np.abs(np.linalg.eigvalsh(gap))) < 0.03
 
 
 @pytest.mark.slow
