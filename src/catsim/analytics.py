@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import trajectory_rng
 from .hilbert import DEFAULT_ALPHA, CavityBasis, cat_overlap, cat_state
 from .model import SystemParams, induced_chi
-from .protocols import ParityFilter, _records, _trial_rngs, map_duration
+from .protocols import ParityFilter, _check_drive_mode, _records, _trial_rngs, map_duration
 from .tomography import _golden_section, aligned_cat_fidelity
 
 TWO_PI = 2.0 * math.pi
@@ -187,14 +187,13 @@ def dephasing_per_occurrence(
     delta_chi: float,
     t0: float,
     t1: float,
-    alpha: float = DEFAULT_ALPHA,
     align: bool = False,
 ) -> float:
-    """Kick infidelity normalized by the fully dephased value, capped at 1."""
+    """Kick infidelity of the default cat normalized by the fully dephased value, capped at 1."""
     if delta_chi == 0.0:
         return 0.0
-    infidelity = kick_infidelity(delta_chi, t0, t1, alpha, align=align)
-    floor = kick_infidelity(delta_chi, 0.0, 1.0 / abs(delta_chi), alpha)
+    infidelity = kick_infidelity(delta_chi, t0, t1, align=align)
+    floor = kick_infidelity(delta_chi, 0.0, 1.0 / abs(delta_chi))
     return min(1.0, infidelity / floor)
 
 
@@ -207,15 +206,14 @@ def error_event_table(params: SystemParams, protocol: str = "gf") -> list:
     rotation, and pure misassignments, scramble completely and carry
     dephasing 1.
     """
-    name = protocol[3:] if protocol.startswith("pi_") else protocol
-    if name not in ("gf", "ft"):
+    if protocol not in ("gf", "ft"):
         raise ValueError(f"protocol must be gf or ft, got {protocol!r}")
-    t_map = map_duration(params, name)
+    t_map = map_duration(params, protocol)
     t_ro = params.t_ro
     chi_e, chi_ef = params.chi_e, params.chi_e - params.chi_f
     confusion = params.assignment_error
     readout_ge = dephasing_per_occurrence(chi_e, 0.0, t_ro)
-    if name == "gf":
+    if protocol == "gf":
         relax_fe = (chi_ef, dephasing_per_occurrence(chi_ef, 0.0, t_map, align=True))
     else:
         relax_fe = (0.0, 0.0)
@@ -271,10 +269,9 @@ def phase_kick_monte_carlo(
     events,
     n_max: int,
     trials: int = 10000,
-    alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
 ) -> DecayCurve:
-    """Decay curve of a cat subjected to sampled ancilla-error phase kicks.
+    """Decay curve of the default cat subjected to sampled ancilla-error phase kicks.
 
     For each N the number of occurrences of every event is multinomial,
     drawn by sequential binomial conditioning; each occurrence
@@ -306,7 +303,7 @@ def phase_kick_monte_carlo(
             remaining -= counts
             mass -= p
             total += _kick_sums(event, counts, rng)
-        overlap = cat_overlap(total, alpha)
+        overlap = cat_overlap(total)
         means[k] = overlap.mean()
         errors[k] = overlap.std(ddof=1) / math.sqrt(trials)
     return DecayCurve(ns, means, errors)
@@ -400,12 +397,12 @@ def trajectory_decay_curve(
         raise ValueError("n_max must be at least 1")
     if trials < 2:
         raise ValueError("need at least two trials")
+    _check_drive_mode(drive_mode)
     basis = basis or CavityBasis()
     filt = ParityFilter.for_protocol(params, protocol, alpha)
     reference = cat_state(alpha, basis)
     reported, _, cavities, _ = _records(
-        params, protocol, n_max, basis, reference, None, drive_mode,
-        _trial_rngs(seed, protocol, trials),
+        params, protocol, n_max, basis, reference, drive_mode, _trial_rngs(seed, protocol, trials)
     )
     phases = np.arange(basis.dim)
     ns, fidelities, stderrs, kept = [], [], [], []

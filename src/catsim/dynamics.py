@@ -59,8 +59,9 @@ SUPEROP_DIM_LIMIT = 32
 
 POSITIVITY_FLOOR = -1e-5
 
-# Fock dimension of the Ramsey probe: the 0-1 superposition plus headroom.
-RAMSEY_CAVITY_DIM = 3
+# Fock dimension of the Ramsey probe: the 0-1 superposition.  No process
+# of the probe raises the photon number, so it needs no headroom.
+RAMSEY_CAVITY_DIM = 2
 
 # Rows a batched caller evolves at once.  It bounds the working set: 3000
 # preparation attempts at dim 20 added 25 MB of peak RSS in one block and
@@ -605,8 +606,11 @@ def ramsey_t2(
     equilibrium, tracks the cavity coherence and fits an exponential.
     Returns ``inf`` when no appreciable decay happens within ``t_max``
     (the flat-curve flag).  With a drive the dressed static Hamiltonian
-    and the driven dephasing penalty apply.
+    and the driven dephasing penalty apply.  Raises ValueError unless
+    ``t_max`` and ``sample_dt`` are positive and finite.
     """
+    if not (0.0 < t_max < math.inf and 0.0 < sample_dt < math.inf):
+        raise ValueError("t_max and sample_dt must be positive and finite")
     basis = CavityBasis(dim=RAMSEY_CAVITY_DIM)
     mode = "effective" if drive is not None else "off"
     ham = build_hamiltonian(params, basis, mode=mode, drive=drive)
@@ -655,20 +659,19 @@ def chevron_map(
     params: SystemParams,
     detunings,
     times,
-    basis: CavityBasis | None = None,
 ) -> np.ndarray:
     """Sideband transfer population over a (detuning, time) grid.
 
     Starts in |e, 1> and drives the |e, 1>-|h, 0> transition with the
     oscillating coupling; returns P(h) with shape (len(detunings),
-    len(times)).  Coherent dynamics only, so the pattern is the bare
-    interference chevron.  The sample times of one detuning are the rows
-    of one exact block propagation from t = 0.
+    len(times)), in the caller's order of times.  Coherent dynamics only,
+    so the pattern is the bare interference chevron.  The sample times of
+    one detuning are the rows of one exact block propagation from t = 0.
     """
-    basis = basis or CavityBasis(dim=4)
-    times = np.asarray(sorted(float(t) for t in times))
-    if len(times) and times[0] < 0.0:
-        raise ValueError("sample times must be non-negative")
+    basis = CavityBasis(dim=4)
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0) or not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be non-negative and finite")
     h_block = slice(3 * basis.dim, 4 * basis.dim)
     psi = joint_state("e", np.eye(basis.dim, dtype=complex)[1])
     rows = np.broadcast_to(psi, (len(times), psi.size))
@@ -686,14 +689,13 @@ def measured_stark_shift(
     params: SystemParams,
     drive: DriveSpec,
     n: int = 1,
-    duration: float = 2e-6,
 ) -> float:
     """Drive-induced pull of |e, n> relative to |e, 0>, in Hz.
 
     Runs the oscillating drive on a superposition of |e, 0> and |e, n>
     with the static dispersive terms switched off, so the accumulated
-    relative phase isolates the induced shift.  The window shrinks with
-    the expected shift so the phase never wraps; sudden turn-on
+    relative phase isolates the induced shift.  The 2 us window shrinks
+    with the expected shift so the phase never wraps; sudden turn-on
     micromotion limits the accuracy to about a percent.
     """
     if n < 1:
@@ -701,8 +703,7 @@ def measured_stark_shift(
     if drive.detuning == 0.0:
         raise ValueError("shift measurement needs a detuned drive")
     expected = abs(induced_chi(drive.omega, drive.detuning, n))
-    if expected > 0.0:
-        duration = min(duration, 0.2 / expected)
+    duration = min(2e-6, 0.2 / expected) if expected > 0.0 else 2e-6
     bare = replace(params, chi_e=1e-30, chi_f=1e-30, chi_h=1e-30, kerr=1e-30)
     basis = CavityBasis(dim=max(6, n + 3))
     ham = build_hamiltonian(bare, basis, mode="time_dependent", drive=drive)

@@ -46,6 +46,9 @@ DEFAULT_ALPHA = math.sqrt(2.0)
 # Norm deficit above which a truncated coherent state is no longer trusted.
 TAIL_TOLERANCE = 1e-8
 
+# Absolute tolerance of validate_state and validate_density.
+STATE_ATOL = 1e-7
+
 
 @dataclass(frozen=True)
 class AncillaBasis:
@@ -265,7 +268,7 @@ def reduce_to_cavity(state: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("anam->nm", blocks)
 
 
-def validate_state(vec: np.ndarray, atol: float = 1e-7) -> None:
+def validate_state(vec: np.ndarray) -> None:
     """Raise ValueError unless ``vec`` is a finite unit-norm state vector."""
     arr = np.asarray(vec)
     if arr.ndim != 1:
@@ -273,22 +276,22 @@ def validate_state(vec: np.ndarray, atol: float = 1e-7) -> None:
     if not np.all(np.isfinite(arr.view(float) if arr.dtype == complex else arr)):
         raise ValueError("state vector has non-finite entries")
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"state vector norm {norm} deviates from 1 by more than {atol}")
+    if abs(norm - 1.0) > STATE_ATOL:
+        raise ValueError(f"state vector norm {norm} deviates from 1 by more than {STATE_ATOL}")
 
 
-def validate_density(rho: np.ndarray, atol: float = 1e-7) -> None:
+def validate_density(rho: np.ndarray) -> None:
     """Raise ValueError unless ``rho`` is a valid density matrix."""
     arr = np.asarray(rho)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(arr - arr.conj().T)) > atol:
+    if np.max(np.abs(arr - arr.conj().T)) > STATE_ATOL:
         raise ValueError("density matrix is not hermitian")
     trace = float(np.real(np.trace(arr)))
-    if abs(trace - 1.0) > atol:
+    if abs(trace - 1.0) > STATE_ATOL:
         raise ValueError(f"density matrix trace {trace} deviates from 1")
     eigmin = float(np.linalg.eigvalsh(arr)[0])
-    if eigmin < -atol:
+    if eigmin < -STATE_ATOL:
         raise ValueError(f"density matrix has negative eigenvalue {eigmin}")

@@ -248,7 +248,6 @@ def build_hamiltonian(
     basis: CavityBasis = CavityBasis(),
     mode: str = "off",
     drive: DriveSpec | None = None,
-    ft_mode: bool = False,
 ) -> HamiltonianSpec:
     """Assemble the joint Hamiltonian in the g-level rotating frame.
 
@@ -257,16 +256,12 @@ def build_hamiltonian(
     ``"time_dependent"`` (explicit oscillating coupling to the h level,
     which ``dynamics`` evolves exactly in the frame rotating with the h
     level, where it is static; this is not a rotating-wave approximation).
-    ``ft_mode`` substitutes the f-level pull for the e-level pull, the
-    error-transparent limit in which an e-f swap commutes with the
-    dispersive evolution.
     """
     if mode not in ("off", "effective", "time_dependent"):
         raise ValueError(f"unknown Hamiltonian mode {mode!r}")
     n = np.arange(basis.dim, dtype=float)
     kerr_part = 0.5 * params.kerr * n * (n - 1.0)
-    chi_e = params.chi_f if ft_mode else params.chi_e
-    pulls = (0.0, chi_e, params.chi_f, params.chi_h)
+    pulls = (0.0, params.chi_e, params.chi_f, params.chi_h)
     diag = np.concatenate([pull * n + kerr_part for pull in pulls])
 
     periodic = ()

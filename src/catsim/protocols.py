@@ -30,6 +30,7 @@ from .dynamics import (
     trajectory_rng,
 )
 from .hilbert import (
+    DEFAULT_ALPHA,
     CavityBasis,
     cat_state,
     coherent_state,
@@ -78,6 +79,11 @@ PROTOCOL_INDEX = {"ge": 0, "gf": 1, "ft": 2}
 # Stream indices reserved for non-protocol consumers of trajectory_rng.
 PREP_STREAM = 3
 TOMO_STREAM = 4
+
+# The map that heralded preparation and tomography shots run, and the
+# number of consecutive g outcomes that herald a cat.
+PROBE_PROTOCOL = "gf"
+HERALD_ROUNDS = 4
 
 # Calibration constants of the record filter: per-shot probability that a
 # parity-preserving record shows the nominal outcome, and the rate of
@@ -129,6 +135,11 @@ def _check_protocol(protocol: str) -> None:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
 
 
+def _check_drive_mode(drive_mode: str) -> None:
+    if drive_mode not in ("effective", "time_dependent"):
+        raise ValueError(f"unknown drive mode {drive_mode!r}")
+
+
 def map_duration(params: SystemParams, protocol: str) -> float:
     """Wait time that turns the parity into a pi phase on the ancilla."""
     _check_protocol(protocol)
@@ -163,14 +174,13 @@ def ancilla_rotation(kind: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _map_context(params, basis, protocol, drive, drive_mode):
-    if drive_mode not in ("effective", "time_dependent"):
-        raise ValueError(f"unknown drive mode {drive_mode!r}")
+def _map_context(params, basis, protocol, drive_mode):
+    """Hamiltonian and channels of the wait; ft drives at the ``zero_chi_fe`` point."""
+    _check_drive_mode(drive_mode)
     if protocol != "ft":
         return _readout_context(params, basis)
-    drv = drive or DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))
-    mode = "effective" if drive_mode == "effective" else "time_dependent"
-    ham = build_hamiltonian(params, basis, mode=mode, drive=drv)
+    drive = DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))
+    ham = build_hamiltonian(params, basis, mode=drive_mode, drive=drive)
     channels = collapse_channels(params, basis, drive_on=True)
     return ham, channels
 
@@ -200,7 +210,6 @@ def parity_map(
     basis: CavityBasis = CavityBasis(),
     rng=None,
     injected: tuple = (),
-    drive: DriveSpec | None = None,
     drive_mode: str = "effective",
 ):
     """One parity-to-ancilla mapping sequence, stopping before readout.
@@ -214,13 +223,11 @@ def parity_map(
     validate_state(state)
     stack = np.asarray(state, dtype=complex).reshape(1, 4, basis.dim)
     streams = None if rng is None else RowStreams([rng])
-    out, jumps = _map_rows(stack, params, protocol, basis, streams, drive, drive_mode, injected)
+    out, jumps = _map_rows(stack, params, protocol, basis, streams, drive_mode, injected)
     return out[0].reshape(4 * basis.dim), jumps[0]
 
 
-def _map_rows(
-    stack, params, protocol, basis, streams, drive=None, drive_mode="effective", injected=()
-):
+def _map_rows(stack, params, protocol, basis, streams, drive_mode="effective", injected=()):
     """``parity_map`` on a (rows, 4, dim) stack; without streams the wait is unitary.
 
     Each injected error strikes every row at its fraction of the wait, and
@@ -230,7 +237,7 @@ def _map_rows(
     events = sorted(injected, key=lambda err: err.at)
     if any(not 0.0 <= err.at <= 1.0 for err in events):
         raise ValueError("injected error time must lie in [0, 1]")
-    ham, channels = _map_context(params, basis, protocol, drive, drive_mode)
+    ham, channels = _map_context(params, basis, protocol, drive_mode)
     if streams is None:
         channels = ()
     wait = map_duration(params, protocol)
@@ -342,7 +349,6 @@ def repeated_parity(
     rng=None,
     basis: CavityBasis = CavityBasis(),
     initial_cavity: np.ndarray | None = None,
-    drive: DriveSpec | None = None,
     trials: int | None = None,
     seed: int | None = None,
     mode: str = "trajectory",
@@ -360,6 +366,7 @@ def repeated_parity(
     dimension, so it is budget-capped to small problems.
     """
     _check_protocol(protocol)
+    _check_drive_mode(drive_mode)
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds}")
     if mode == "master":
@@ -378,15 +385,15 @@ def repeated_parity(
     elif trials is None and rng is None:
         raise ValueError("single-record mode requires an rng")
     if initial_cavity is None:
-        cavity = cat_state(math.sqrt(2.0), basis)
+        cavity = cat_state(DEFAULT_ALPHA, basis)
     else:
         cavity = np.asarray(initial_cavity, dtype=complex)
         validate_state(cavity)
     if mode == "master":
-        return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive, drive_mode)
+        return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive_mode)
     rngs = [rng] if trials is None else _trial_rngs(seed, protocol, trials)
     reported, truth, cavities, jumps = _records(
-        params, protocol, n_rounds, basis, cavity, drive, drive_mode, rngs
+        params, protocol, n_rounds, basis, cavity, drive_mode, rngs
     )
     records = [
         [ParityRound(OUTCOMES[o], OUTCOMES[t], c, j) for o, t, c, j in zip(*row)]
@@ -400,7 +407,7 @@ def _trial_rngs(seed, protocol, trials):
     return [trajectory_rng(seed, PROTOCOL_INDEX[protocol], trial) for trial in range(trials)]
 
 
-def _records(params, protocol, n_rounds, basis, cavity, drive, drive_mode, rngs):
+def _records(params, protocol, n_rounds, basis, cavity, drive_mode, rngs):
     """Records of ``n_rounds`` rounds from ``cavity``, one row per entry of ``rngs``.
 
     The rows run in blocks of at most 256 and may share a generator.
@@ -418,9 +425,7 @@ def _records(params, protocol, n_rounds, basis, cavity, drive, drive_mode, rngs)
         stack = np.zeros((len(block), 4, basis.dim), dtype=complex)
         stack[:, 0] = cavity
         for k in range(n_rounds):
-            stack, map_jumps = _map_rows(
-                stack, params, protocol, basis, streams, drive, drive_mode
-            )
+            stack, map_jumps = _map_rows(stack, params, protocol, basis, streams, drive_mode)
             stack, *levels, readout_jumps = _readout_rows(stack, params, basis, streams)
             truth[part, k], reported[part, k] = levels
             cavities[part, k] = stack[:, 0]
@@ -428,9 +433,9 @@ def _records(params, protocol, n_rounds, basis, cavity, drive, drive_mode, rngs)
     return reported, truth, cavities, jumps
 
 
-def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive, drive_mode):
+def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive_mode):
     dim = basis.dim
-    ham, channels = _map_context(params, basis, protocol, drive, drive_mode)
+    ham, channels = _map_context(params, basis, protocol, drive_mode)
     ro_ham, ro_channels = _readout_context(params, basis)
     confusion = np.array(params.assignment_error)
 
@@ -551,28 +556,26 @@ def prepare_cat(
     params: SystemParams,
     rng,
     basis: CavityBasis = CavityBasis(),
-    alpha: float = math.sqrt(2.0),
-    rounds: int = 4,
-    protocol: str = "gf",
     max_attempts: int = 200,
 ) -> PrepResult:
     """Probabilistic cat preparation: displace, then herald even parity.
 
-    Each attempt starts from a displaced vacuum and post-selects on
-    ``rounds`` consecutive g outcomes.  Retries up to ``max_attempts``
-    times; the result carries the last attempt's state either way.
+    Each attempt starts from the vacuum displaced by ``DEFAULT_ALPHA`` and
+    post-selects on ``HERALD_ROUNDS`` consecutive g outcomes of the
+    ``PROBE_PROTOCOL`` map.  Retries up to ``max_attempts`` times; the
+    result carries the last attempt's state either way.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     streams = RowStreams([rng])
     for attempt in range(1, max_attempts + 1):
-        states, success = _herald_rows(params, basis, alpha, rounds, protocol, streams)
+        states, success = _herald_rows(params, basis, streams)
         if success[0]:
             return PrepResult(state=states[0], success=True, attempts=attempt)
     return PrepResult(state=states[0], success=False, attempts=max_attempts)
 
 
-def _herald_rows(params, basis, alpha, rounds, protocol, streams):
+def _herald_rows(params, basis, streams):
     """One heralding attempt per stream, all at once.
 
     Every row starts from the displaced vacuum and leaves at its first
@@ -580,12 +583,12 @@ def _herald_rows(params, basis, alpha, rounds, protocol, streams):
     whether it heralded.
     """
     stack = np.zeros((len(streams), 4, basis.dim), dtype=complex)
-    stack[:, 0] = coherent_state(alpha, basis)
+    stack[:, 0] = coherent_state(DEFAULT_ALPHA, basis)
     success = np.ones(len(streams), dtype=bool)
     live = np.arange(len(streams))
-    for _ in range(rounds):
+    for _ in range(HERALD_ROUNDS):
         part = streams.take(live)
-        mapped, _ = _map_rows(stack[live], params, protocol, basis, part)
+        mapped, _ = _map_rows(stack[live], params, PROBE_PROTOCOL, basis, part)
         read, _, reported, _ = _readout_rows(mapped, params, basis, part)
         stack[live] = read
         failed = reported != 0
@@ -601,9 +604,6 @@ def preparation_statistics(
     seed: int,
     n_attempts: int = 300,
     basis: CavityBasis = CavityBasis(),
-    alpha: float = math.sqrt(2.0),
-    rounds: int = 4,
-    protocol: str = "gf",
 ) -> PrepStats:
     """Success rate and heralded parity over independent preparation tries.
 
@@ -616,7 +616,7 @@ def preparation_statistics(
     parity_acc = 0.0
     for block in _row_blocks(n_attempts):
         streams = RowStreams([trajectory_rng(seed, PREP_STREAM, attempt) for attempt in block])
-        states, success = _herald_rows(params, basis, alpha, rounds, protocol, streams)
+        states, success = _herald_rows(params, basis, streams)
         cavities = states[success, : basis.dim]
         successes += len(cavities)
         parity_acc += float(np.sum(np.abs(cavities) ** 2 @ signs))
@@ -627,8 +627,8 @@ def preparation_statistics(
     )
 
 
-def _shot_outcomes(states, shots, params, basis, rng, protocol):
-    """Reported outcome of ``shots`` parity maps and readouts of each state.
+def _shot_outcomes(states, shots, params, basis, rng):
+    """Reported outcome of ``shots`` ``PROBE_PROTOCOL`` maps and readouts of each state.
 
     ``states`` is a (points, 4, dim) stack; the shots run as rows that
     share ``rng``, point by point.  Returns (points, shots) indices into
@@ -638,6 +638,6 @@ def _shot_outcomes(states, shots, params, basis, rng, protocol):
     for block in _row_blocks(reported.size):
         rows = np.array(block)
         streams = RowStreams([rng] * rows.size)
-        mapped, _ = _map_rows(states[rows // shots], params, protocol, basis, streams)
+        mapped, _ = _map_rows(states[rows // shots], params, PROBE_PROTOCOL, basis, streams)
         reported[rows] = _readout_rows(mapped, params, basis, streams)[2]
     return reported.reshape(len(states), shots)

@@ -117,13 +117,12 @@ def simulate_tomography(
     shots: int,
     rng,
     basis: CavityBasis,
-    protocol: str = "gf",
 ) -> WignerGrid:
     """Circuit-simulated Wigner grid from repeated single-shot parity.
 
     ``state`` is a joint pure state with the ancilla in g.  Each point
-    displaces the cavity, runs one parity map and readout under the full
-    noise model, and scores +1 for a reported g.  The shots of all
+    displaces the cavity, runs one gf parity map and readout under the
+    full noise model, and scores +1 for a reported g.  The shots of all
     points run as rows of one batch that share ``rng``.  Values carry the
     finite readout contrast; divide by ``vacuum_contrast`` to compare
     with exact scans.
@@ -134,7 +133,7 @@ def simulate_tomography(
     betas = np.asarray(betas, dtype=complex).ravel()
     block = state.reshape(4, basis.dim)
     displaced = np.array([block @ basis.displacement(-beta).T for beta in betas])
-    outcomes = _shot_outcomes(displaced, shots, params, basis, rng, protocol)
+    outcomes = _shot_outcomes(displaced, shots, params, basis, rng)
     totals = np.sum(np.where(outcomes == 0, 1, -1), axis=1)
     values = TWO_OVER_PI * totals / shots
     return WignerGrid(
@@ -147,11 +146,10 @@ def vacuum_contrast(
     shots: int,
     rng,
     basis: CavityBasis,
-    protocol: str = "gf",
 ) -> float:
     """Mean measured parity of vacuum through the same circuit, near 0.735."""
     grid = simulate_tomography(
-        joint_state("g", fock_state(0, basis)), [0.0], params, shots, rng, basis, protocol
+        joint_state("g", fock_state(0, basis)), [0.0], params, shots, rng, basis
     )
     return float(grid.values[0]) / TWO_OVER_PI
 

@@ -21,7 +21,7 @@ from catsim.analytics import (
     total_dephasing_probability,
     trajectory_decay_curve,
 )
-from catsim.hilbert import DEFAULT_ALPHA, cat_overlap
+from catsim.hilbert import DEFAULT_ALPHA, CavityBasis, cat_overlap
 from catsim.model import SystemParams, cancellation_detuning
 from catsim.protocols import map_duration
 
@@ -215,10 +215,9 @@ def test_error_event_table_fault_tolerant_variant():
     assert ft_row.label == "map_relax_fe"
     assert ft_row.delta_chi == 0.0
     assert ft_row.dephasing_per_occurrence == 0.0
-    # The prefixed protocol names are accepted too.
-    assert error_event_table(params, "pi_ft")[0].delta_chi == 0.0
-    with pytest.raises(ValueError):
-        error_event_table(params, "ge")
+    for protocol in ("ge", "pi_ft"):
+        with pytest.raises(ValueError):
+            error_event_table(params, protocol)
 
 
 def test_error_event_table_totals():
@@ -432,3 +431,8 @@ def test_trajectory_decay_validation():
         trajectory_decay_curve(SystemParams(), "gf", 0, trials=40, seed=0)
     with pytest.raises(ValueError):
         trajectory_decay_curve(SystemParams(), "gf", 4, trials=1, seed=0)
+    # A dim-4 cavity cannot hold the cat, so the drive mode must be named first.
+    with pytest.raises(ValueError, match="unknown drive mode"):
+        trajectory_decay_curve(
+            SystemParams(), "gf", 4, trials=2, basis=CavityBasis(4), drive_mode="bogus"
+        )

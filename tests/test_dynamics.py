@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -346,6 +349,47 @@ def test_ramsey_default_parameters_in_expected_band():
     assert 500e-6 < t2 < 800e-6
 
 
+def test_ramsey_probe_needs_no_photon_headroom(monkeypatch):
+    # No process of the probe raises the photon number, so one more Fock
+    # level leaves T2 unchanged.
+    params = SystemParams()
+    center = cancellation_detuning(params, "zero_chi_eg")
+    drives = [None] + [DriveSpec(params.omega_sb, f * center) for f in (0.6, 1.0, 2.4)]
+    exact = [ramsey_t2(params, drive=drive) for drive in drives]
+    monkeypatch.setattr(dynamics, "RAMSEY_CAVITY_DIM", dynamics.RAMSEY_CAVITY_DIM + 1)
+    padded = [ramsey_t2(params, drive=drive) for drive in drives]
+    assert exact == pytest.approx(padded, rel=1e-10)
+
+
+def test_ramsey_rejects_a_step_or_span_that_is_not_positive_and_finite():
+    # An invalid step or span used to loop forever, so the calls run in a
+    # subprocess that a timeout stops.
+    code = (
+        "import math\n"
+        "from catsim.dynamics import ramsey_t2\n"
+        "from catsim.model import SystemParams\n"
+        "cases = [dict(sample_dt=0.0), dict(sample_dt=-2e-6), dict(sample_dt=math.nan),\n"
+        "         dict(sample_dt=math.inf), dict(t_max=math.inf), dict(t_max=0.0),\n"
+        "         dict(t_max=-1e-3), dict(t_max=math.nan)]\n"
+        "for kwargs in cases:\n"
+        "    try:\n"
+        "        ramsey_t2(SystemParams(), **kwargs)\n"
+        "    except ValueError as err:\n"
+        "        assert 'positive and finite' in str(err), err\n"
+        "    else:\n"
+        "        raise AssertionError(kwargs)\n"
+        "print('ok')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dynamics.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
 # 1-norms from far below the degree-13 bound, where the approximant is used
 # unscaled, to past it, where the exponential scales and squares.
 @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 10.0, 100.0])
@@ -369,7 +413,8 @@ def test_master_propagator_matches_scipy_on_the_ramsey_liouvillian():
         channels = collapse_channels(params, basis, drive_on=drive is not None)
         reference = expm(dynamics.liouvillian(ham, channels) * 2e-6)
         propagator = dynamics.master_propagator(ham, channels, 2e-6)
-        assert propagator.shape == (144, 144)
+        side = (4 * dynamics.RAMSEY_CAVITY_DIM) ** 2
+        assert propagator.shape == (side, side)
         error = np.linalg.norm(propagator - reference)
         assert error <= 1e-12 * np.linalg.norm(reference)
 
@@ -473,6 +518,19 @@ def test_chevron_grid_shape_and_time_validation():
     assert np.all(pops >= 0.0) and np.all(pops <= 1.0)
     with pytest.raises(ValueError):
         chevron_map(params, [0.0], [-1e-7, 0.0])
+    for bad in (0.0, -1e-7), (1e-7, math.nan), (math.inf,):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            chevron_map(params, [0.0], bad)
+
+
+def test_chevron_returns_times_in_the_callers_order():
+    params = SystemParams()
+    shuffled = [3e-7, 1e-7, 0.0, 2e-7]
+    order = np.argsort(shuffled)
+    pops = chevron_map(params, [0.0, 1e6], shuffled)
+    ascending = chevron_map(params, [0.0, 1e6], np.sort(shuffled))
+    assert np.array_equal(pops[:, order], ascending)
+    assert not np.array_equal(pops, ascending)
 
 
 def test_measured_stark_shift_matches_analytic_when_detuned():

@@ -164,14 +164,6 @@ def test_static_hamiltonian_entries(params):
     assert diag[idx] == pytest.approx(TWO_PI * -515e3, rel=1e-12)
 
 
-def test_ft_mode_equalizes_e_and_f_pulls(params):
-    basis = CavityBasis(dim=10)
-    ham = build_hamiltonian(params, basis, ft_mode=True)
-    diag = np.diagonal(ham.static).real
-    dim = basis.dim
-    assert np.allclose(diag[dim : 2 * dim], diag[2 * dim : 3 * dim], atol=0.0)
-
-
 def test_effective_mode_at_cancellation(params):
     basis = CavityBasis(dim=10)
     drive = DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))

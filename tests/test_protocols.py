@@ -464,7 +464,7 @@ def test_batched_preparation_rows_leave_at_their_first_non_g(basis20):
     params = SystemParams()
     attempts = 40
     streams = RowStreams([trajectory_rng(6, protocols.PREP_STREAM, a) for a in range(attempts)])
-    states, success = protocols._herald_rows(params, basis20, ALPHA, 4, "gf", streams)
+    states, success = protocols._herald_rows(params, basis20, streams)
     rounds_run = set()
     for attempt in range(attempts):
         rng = trajectory_rng(6, protocols.PREP_STREAM, attempt)
@@ -504,7 +504,7 @@ def test_rows_sharing_a_generator_rerun_byte_identical(basis20, even_cat):
     def run():
         shared = trajectory_rng(8, protocols.TOMO_STREAM, 0)
         rngs = [shared, shared, trajectory_rng(8, 1, 5)]
-        return protocols._records(params, "gf", 10, basis20, even_cat, None, "effective", rngs)
+        return protocols._records(params, "gf", 10, basis20, even_cat, "effective", rngs)
 
     first, second = run(), run()
     for a, b in zip(first[:3], second[:3], strict=True):
@@ -610,6 +610,13 @@ def test_repeated_parity_rejects_an_unknown_drive_mode(basis20):
         repeated_parity(
             SystemParams(), "ft", 1, basis=basis20, trials=2, seed=1, drive_mode="bogus"
         )
+    # A dim-4 cavity cannot hold the default cat, so the drive mode must be
+    # named before the cat is built, in both modes.
+    for kwargs in (dict(mode="master"), dict(trials=2, seed=1)):
+        with pytest.raises(ValueError, match="unknown drive mode"):
+            repeated_parity(
+                SystemParams(), "gf", 1, basis=CavityBasis(4), drive_mode="bogus", **kwargs
+            )
 
 
 def test_parity_map_rejects_an_invalid_state(basis20, even_cat):
