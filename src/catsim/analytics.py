@@ -97,8 +97,9 @@ class DecayCurve:
 class FitResult:
     """Parameters of F(N) = amplitude * exp(-N / n0) + floor.
 
-    ``n0`` is ``inf`` for a curve with no resolvable decay, in which case
-    ``covariance`` is None.
+    ``n0`` is ``inf`` for a curve with no spread.  ``covariance`` is None
+    then, and also when the fit's Jacobian is singular to round-off, which
+    leaves some parameter (usually n0) unresolved.
     """
 
     amplitude: float
@@ -245,26 +246,6 @@ def total_dephasing_probability(events) -> float:
     return sum(e.probability * e.dephasing_per_occurrence for e in events)
 
 
-def _kick_sums(event: ErrorEventSpec, counts: np.ndarray, rng) -> np.ndarray:
-    """Summed kick angle per trial for ``counts`` occurrences of one event."""
-    top = int(counts.max())
-    if top == 0:
-        return np.zeros(len(counts))
-    if event.dephasing_per_occurrence >= 1.0:
-        lo, hi = 0.0, TWO_PI
-    else:
-        edges = (
-            TWO_PI * event.delta_chi * event.window[0],
-            TWO_PI * event.delta_chi * event.window[1],
-        )
-        lo, hi = min(edges), max(edges)
-    if lo == hi:
-        return counts * lo
-    draws = rng.uniform(lo, hi, size=(len(counts), top))
-    used = np.arange(top) < counts[:, None]
-    return (draws * used).sum(axis=1)
-
-
 def phase_kick_monte_carlo(
     events,
     n_max: int,
@@ -273,37 +254,45 @@ def phase_kick_monte_carlo(
 ) -> DecayCurve:
     """Decay curve of the default cat subjected to sampled ancilla-error phase kicks.
 
-    For each N the number of occurrences of every event is multinomial,
-    drawn by sequential binomial conditioning; each occurrence
-    contributes a kick uniform over its window (uniform over a full turn
-    for scrambling rows) and the trial scores the rotation overlap of
-    the summed kick.  Trials are vectorized in a fixed order, so a seed
-    pins the whole curve.
+    For each N a trial's number of occurrences is binomial in N with the
+    summed event probability, and each occurrence is one event drawn in
+    proportion to its probability, so the per-event counts are
+    multinomial.  Each occurrence contributes a kick uniform over its
+    window (over a full turn for scrambling rows) and the trial scores the
+    rotation overlap of the summed kick.  Trials are vectorized in a fixed
+    order, so a seed pins the whole curve.
     """
     events = list(events)
-    probabilities = [e.probability for e in events]
-    if sum(probabilities) > 1.0 + 1e-12:
+    probabilities = np.array([e.probability for e in events])
+    total = float(probabilities.sum())
+    if total > 1.0 + 1e-12:
         raise ValueError("event probabilities must sum to at most 1")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a stable curve")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     rng = trajectory_rng(seed, KICK_STREAM, 0)
+    cumulative = np.cumsum(probabilities)
+    ranges = np.sort([
+        (0.0, TWO_PI) if e.dephasing_per_occurrence >= 1.0
+        else (TWO_PI * e.delta_chi * e.window[0], TWO_PI * e.delta_chi * e.window[1])
+        for e in events
+    ]).reshape(-1, 2)
 
     ns = np.arange(1, n_max + 1)
     means = np.empty(len(ns))
     errors = np.empty(len(ns))
     for k, n in enumerate(ns):
-        remaining = np.full(trials, n, dtype=np.int64)
-        mass = 1.0
-        total = np.zeros(trials)
-        for event, p in zip(events, probabilities):
-            share = 1.0 if mass <= p else p / mass
-            counts = rng.binomial(remaining, share)
-            remaining -= counts
-            mass -= p
-            total += _kick_sums(event, counts, rng)
-        overlap = cat_overlap(total)
+        counts = rng.binomial(n, min(total, 1.0), size=trials)
+        occurrences = int(counts.sum())
+        # The last event absorbs a draw past the cumulative sum's round-off.
+        which = np.minimum(
+            np.searchsorted(cumulative, total * rng.random(occurrences), side="right"),
+            len(events) - 1,
+        )
+        kicks = rng.uniform(ranges[which, 0], ranges[which, 1])
+        owner = np.repeat(np.arange(trials), counts)
+        overlap = cat_overlap(np.bincount(owner, weights=kicks, minlength=trials))
         means[k] = overlap.mean()
         errors[k] = overlap.std(ddof=1) / math.sqrt(trials)
     return DecayCurve(ns, means, errors)
@@ -322,9 +311,11 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     deterministic; a curve that keeps improving towards a straight line
     ends at the top of the range, with a sigma(n0) far above n0.
     ``covariance`` is s^2 (J^T J)^-1 at the optimum with s^2 = RSS/(m - 3),
-    J the Jacobian in (amplitude, n0, floor).  A curve with no spread
-    returns the n0 = inf flag instead of fitting; a non-finite fidelity
-    raises FloatingPointError.
+    J the Jacobian in (amplitude, n0, floor); it is None when a singular
+    value of J falls below round-off of the largest, since the curve then
+    does not resolve every parameter (typically n0 at the top of its
+    range).  A curve with no spread returns the n0 = inf flag instead of
+    fitting; a non-finite fidelity raises FloatingPointError.
     """
     if len(curve) < 5:
         raise ValueError("need at least 5 points to fit a decay")
@@ -363,8 +354,9 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     jacobian = np.column_stack([column * math.exp(-n[0] / n0),
                                 slope * column * n / n0**2, np.ones_like(n)])
     _, singular, vt = np.linalg.svd(jacobian, full_matrices=False)
-    keep = singular > np.finfo(float).eps * len(n) * singular[0]
-    covariance = (vt[keep].T / singular[keep] ** 2) @ vt[keep]
+    if singular[-1] <= np.finfo(float).eps * len(n) * singular[0]:
+        return FitResult(amplitude, n0, floor, None)
+    covariance = (vt.T / singular**2) @ vt
     covariance *= float(rss) / (len(n) - 3)
     return FitResult(amplitude, n0, floor, covariance)
 

@@ -21,7 +21,7 @@ from catsim.analytics import (
     total_dephasing_probability,
     trajectory_decay_curve,
 )
-from catsim.hilbert import DEFAULT_ALPHA, CavityBasis, cat_overlap
+from catsim.hilbert import DEFAULT_ALPHA, CavityBasis, cat_overlap, cat_state
 from catsim.model import SystemParams, cancellation_detuning
 from catsim.protocols import map_duration
 
@@ -299,6 +299,40 @@ def test_monte_carlo_validates_inputs():
         phase_kick_monte_carlo([good], 0, trials=1000)
 
 
+def exact_kick_decay(events, ns, alpha=DEFAULT_ALPHA, dim=60):
+    """E[cat_overlap(summed kick)] after N rounds, from the characteristic function.
+
+    cat_overlap(theta) = C0 + 2 sum_k C_k cos(k theta) with C_k =
+    sum_n P_n P_{n+k} over the cat's photon distribution P, and N
+    independent rounds each kick by an event's uniform window with that
+    event's probability, so E[exp(i k theta)] = phi_k**N.
+    """
+    photons = np.abs(cat_state(alpha, CavityBasis(dim))) ** 2
+    k = np.arange(1, dim)
+    c0 = photons @ photons
+    ck = np.array([photons[:-j] @ photons[j:] for j in k])
+    phi = np.full(len(k), 1.0 + 0j)
+    for event in events:
+        lo, hi = ((0.0, 2.0 * math.pi) if event.dephasing_per_occurrence >= 1.0
+                  else sorted(2.0 * math.pi * event.delta_chi * np.array(event.window)))
+        # Mean of exp(i k u) over u uniform on [lo, hi]; np.sinc is sin(pi x)/(pi x).
+        mean = np.exp(0.5j * k * (lo + hi)) * np.sinc(k * (hi - lo) / (2.0 * math.pi))
+        phi += event.probability * (mean - 1.0)
+    return np.array([c0 + 2.0 * np.sum(ck * (phi**n).real) for n in ns])
+
+
+@pytest.mark.parametrize("table", ["gf", "mix"])
+def test_monte_carlo_matches_exact_characteristic_function(table):
+    if table == "gf":
+        events = error_event_table(SystemParams(), "gf")
+    else:
+        events = [ErrorEventSpec("window", 0.05, 93e3, (0.0, 1.2e-6), 0.5),
+                  ErrorEventSpec("scramble", 0.02, 1e5, (1e-6, 1e-6), 1.0)]
+    curve = phase_kick_monte_carlo(events, 20, trials=40000, seed=2)
+    z = (curve.fidelity - exact_kick_decay(events, curve.n)) / curve.stderr
+    assert np.max(np.abs(z)) < 4.5
+
+
 @pytest.mark.slow
 def test_monte_carlo_decay_matches_dephasing_budget():
     # The gf curve decays several times faster than the ft curve.
@@ -373,6 +407,17 @@ def test_fit_flags_constant_curve():
     assert math.isinf(result.n0)
     assert result.floor == pytest.approx(0.42)
     assert result.covariance is None
+
+
+def test_fit_reports_no_covariance_when_n0_is_lost_to_round_off():
+    # A barely curved line: the Jacobian's n0 column sits below round-off
+    # of the others, so sigma(n0) cannot be told and must not read ~0.
+    n = np.arange(1, 11)
+    flat = fit_decay(DecayCurve(n, 1.0 - 4.2e-7 * n**2, np.zeros(10)))
+    assert flat.n0 > 1e4
+    assert flat.covariance is None
+    curved = fit_decay(DecayCurve(n, 1.0 - 1e-4 * n**2, np.zeros(10)))
+    assert math.sqrt(curved.covariance[1, 1]) > curved.n0
 
 
 def test_fit_requires_five_points():

@@ -61,12 +61,17 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
         "argv = ['parity-once', '--protocol', 'ft', '--drive', 'time-dependent',\n"
         f"        '--fock-dim', '10', '--out', {out!r}]\n"
         "assert catsim.cli.run(argv) == 0\n"
+        "argv = ['error-budget', '--trajectories', '1000', '--n-max', '6',\n"
+        f"        '--out', {out!r}]\n"
+        "assert catsim.cli.run(argv) == 0\n"
         "protocols.repeated_parity(SystemParams(), 'gf', 3, basis=CavityBasis(10),\n"
         "                          trials=3, seed=1)\n"
         "layers = trace.per_layer()\n"
         "assert set(layers) == set(tracer.PER_LAYER_METRICS)\n"
         "print(layers['protocols.parity_map.calls'], layers['model.context.self_s'] > 0,\n"
-        "      layers['protocols.repeated_parity.self_s'] > 0, layers['cli.parity-once.s'] > 0)\n"
+        "      layers['protocols.repeated_parity.self_s'] > 0, layers['cli.parity-once.s'] > 0,\n"
+        "      layers['analytics.phase_kick_monte_carlo.self_s'] > 0,\n"
+        "      layers['analytics.error_event_table.self_s'] > 0, layers['cli.error-budget.s'] > 0)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(catsim.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -75,4 +80,4 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["6", "True", "True", "True"]
+    assert done.stdout.split() == ["6"] + ["True"] * 6

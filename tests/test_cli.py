@@ -209,7 +209,7 @@ def test_decay_fits_carry_sigma_and_flag(tmp_path):
     assert fit["flag"] == "unresolved"
     run_json(tmp_path, "b.json", argv)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    # The ft kick curve decays with n0 near 73, resolved but past 40 rounds.
+    # The ft kick curve decays with n0 near 67, resolved but past 40 rounds.
     fit = run_json(tmp_path, "ft.json", [
         "error-budget", "--protocol", "ft", "--n-max", "40",
     ])["meta"]["derived"]["kick_fit"]
@@ -219,6 +219,23 @@ def test_decay_fits_carry_sigma_and_flag(tmp_path):
     fit = run_json(tmp_path, "ft10.json", [
         "error-budget", "--protocol", "ft", "--n-max", "10",
     ])["meta"]["derived"]["kick_fit"]
+    assert fit["flag"] == "unresolved"
+
+
+def test_noiseless_decay_fit_is_unresolved(tmp_path):
+    # With no noise the curve is a barely bent line whose n0 the fit cannot
+    # resolve, so sigma(n0) is unknown rather than a misleadingly tiny number.
+    params = tmp_path / "noiseless.json"
+    params.write_text(json.dumps({
+        "T1_cavity": 1e3, "T1_eg": 1e3, "T1_fe": 1e3, "Tphi_g": 1e3, "Tphi_e": 1e3,
+        "Tphi_f": 1e3, "n_th": 0.0, "assignment_error": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    }))
+    fit = run_json(tmp_path, "nl.json", [
+        "parity-decay", "--protocol", "ge", "--trajectories", "20", "--n-max", "10",
+        "--params", str(params),
+    ])["meta"]["derived"]["fit"]
+    assert fit["n0"] > 10
+    assert fit["n0_sigma"] is None
     assert fit["flag"] == "unresolved"
 
 

@@ -11,7 +11,7 @@ from scipy.stats import kstest
 
 from catsim import dynamics
 
-from catsim.hilbert import CavityBasis, cat_state, joint_index, joint_state
+from catsim.hilbert import CavityBasis, cat_state, coherent_state, joint_index, joint_state
 from catsim.model import (
     CollapseChannel,
     DriveSpec,
@@ -148,6 +148,20 @@ def test_master_step_doubling_converges():
     assert err_fine < 1e-8
 
 
+def test_master_rk4_automatic_step_damps_a_coherent_state():
+    # Past the superoperator limit with no dt, evolve_master picks its own
+    # RK4 step.  Loss alone takes |g>|alpha> to |g>|alpha e^{-t/2T1}>.
+    params = SystemParams(kerr=0.0, T1_cavity=2e-6)
+    basis = CavityBasis(9)
+    assert 4 * basis.dim > dynamics.SUPEROP_DIM_LIMIT
+    ham = build_hamiltonian(params, basis)
+    loss = tuple(c for c in collapse_channels(params, basis) if c.label == "cavity_loss")
+    psi = joint_state("g", coherent_state(0.3, basis))
+    rho = evolve_master(psi, ham, loss, 2e-6)
+    damped = joint_state("g", coherent_state(0.3 * math.exp(-0.5), basis))
+    assert np.max(np.abs(rho - np.outer(damped, damped.conj()))) < 1e-8
+
+
 def test_evolve_master_rejects_invalid_states():
     ham, chan = two_level_ham(), decay_channel(1e4)
     psi = np.array([0.6, 0.8j])
@@ -157,6 +171,10 @@ def test_evolve_master_rejects_invalid_states():
         evolve_master(np.array([np.nan, 1.0]), ham, (chan,), 1e-6)
     with pytest.raises(ValueError, match="trace"):
         evolve_master(3.0 * np.outer(psi, psi.conj()), ham, (chan,), 1e-6)
+    with pytest.raises(ValueError, match="square"):
+        evolve_master(np.zeros((2, 3)), ham, (chan,), 1e-6)
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve_master(np.diag([np.nan, 1.0]), ham, (chan,), 1e-6)
 
 
 def test_master_positivity_guard_trips_on_huge_step():
