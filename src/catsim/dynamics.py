@@ -3,15 +3,16 @@
 Every Hamiltonian catsim builds is static and block diagonal in a rotating
 frame.  The sideband drive op e^{2 pi i f t} + h.c. couples disjoint pairs
 of basis states; in the frame U(t) = exp(-2 pi i f t P), P the projector
-onto the states op takes from, the generator is exactly
-H' = H_static - 2 pi f P + op + op+ (a change of frame, not a rotating-wave
-approximation): one 2x2 block per pair, 1x1 blocks elsewhere, and the
+onto the states op takes from and every state a channel links to them,
+the generator is exactly H' = H_static - 2 pi f P + op + op+ (a change of
+frame, not a rotating-wave approximation) and every channel is static up
+to a global phase: one 2x2 block per pair, 1x1 blocks elsewhere, and the
 undriven and effective models are the all-1x1 case.  Every L+L is
 diagonal, so H' - (i/2) sum L+L has the same blocks.  Unitary evolution
 and the batched waiting-time trajectories (Dalibard, Castin & Molmer,
 PRL 68, 580 (1992)) are therefore exact, with jump times from a
-safeguarded Newton solve.  The master equation runs in such a frame,
-widened so that no channel turns, by superoperator exponential or RK4.
+safeguarded Newton solve.  The master equation runs in the same frame,
+by superoperator exponential or RK4.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 # Imported here, not as np.random.*, so numpy.random does not load on the
@@ -151,8 +153,10 @@ def evolve_unitary(
     """Propagate a pure state without dissipation from time ``t0``.
 
     Exact for every generator of the block structure (see the module
-    docstring); ``t0`` sets the phase of a periodic drive.
+    docstring); ``t0`` sets the phase of a periodic drive.  The state must
+    be a unit vector.
     """
+    validate_state(state)
     psi = np.asarray(state, dtype=complex)
     if duration == 0.0:
         return psi.copy()
@@ -160,48 +164,18 @@ def evolve_unitary(
 
 
 def liouvillian(ham: HamiltonianSpec, channels) -> np.ndarray:
-    """Dense Lindblad generator on row-major vectorized densities, in a drive's frame."""
-    h = _frame(ham, channels)[0]
-    d = h.shape[0]
-    ident = np.eye(d, dtype=complex)
-    sup = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    """Dense Lindblad generator on row-major vectorized densities, in the frame of ``_blocks``."""
+    heff = _blocks(ham, tuple(channels)).generator()
+    ident = np.eye(len(heff), dtype=complex)
+    sup = -1j * (np.kron(heff, ident) - np.kron(ident, heff.conj()))
     for chan in channels:
-        op = chan.operator
-        ldl = op.conj().T @ op
-        sup += np.kron(op, op.conj())
-        sup -= 0.5 * (np.kron(ldl, ident) + np.kron(ident, ldl.T))
+        sup += np.kron(chan.operator, chan.operator.conj())
     return sup
 
 
 def master_propagator(ham: HamiltonianSpec, channels, duration: float) -> np.ndarray:
     """exp(L t) for ``liouvillian``'s generator; reusable across steps."""
     return _expm(liouvillian(ham, channels) * duration)
-
-
-def _frame(ham: HamiltonianSpec, channels):
-    """Static H' = H_static - omega P_S + op + op+ in the frame exp(-i omega t P_S), and omega P_S.
-
-    S grows from the drive's sources by each state that an operator (H_static
-    or a channel) links to S where it also links two states of S: the whole
-    h level for the sideband, as cavity loss reaches the undriven |h, dim-1>.
-    An operator left turning by more than a phase is a ValueError.
-    """
-    upper, lower, _, omega = ham.drive_pairs
-    if not upper.size:
-        return ham.static, np.zeros(len(ham.static))
-    links = [ham.static != 0.0] + [chan.operator != 0.0 for chan in channels]
-    inside = np.isin(np.arange(len(ham.static)), lower)
-    size = 0
-    while size < inside.sum():
-        size = inside.sum()
-        for link in links:
-            if link[np.ix_(inside, inside)].any():
-                inside = inside | link[:, inside].any(axis=1) | link[inside].any(axis=0)
-    steps = [inside[rows].astype(int) - inside[cols] for rows, cols in map(np.nonzero, links)]
-    if inside[upper].any() or any(np.any(step != step[:1]) for step in steps):
-        raise ValueError("no frame makes the drive and every channel static")
-    ((op, _),) = ham.periodic
-    return ham.static - omega * np.diag(inside) + op + op.conj().T, omega * inside
 
 
 # Pade-13 coefficients b_0..b_13 of exp and the 1-norm up to which the
@@ -266,7 +240,7 @@ def _master_evolution(ham: HamiltonianSpec, channels, duration: float, d: int, d
     """
     if duration == 0.0:
         return lambda rho: rho
-    h, turn = _frame(ham, channels)
+    blocks = _blocks(ham, tuple(channels))
     if dt is None and d <= SUPEROP_DIM_LIMIT:
         prop = master_propagator(ham, channels, duration)
 
@@ -276,29 +250,27 @@ def _master_evolution(ham: HamiltonianSpec, channels, duration: float, d: int, d
             return out / np.real(np.trace(out))
 
     else:
-        evolve = _master_rk4(h, channels, duration, dt)
-    leave = np.exp(-1j * duration * turn)
-    return (lambda rho: leave[:, None] * evolve(rho) * leave.conj()) if turn.any() else evolve
+        evolve = _master_rk4(blocks.generator(), channels, duration, dt)
+    if not blocks.turn.any():
+        return evolve
+    leave = np.exp(-1j * duration * blocks.turn)
+    return lambda rho: leave[:, None] * evolve(rho) * leave.conj()
 
 
-def _master_rk4(h, channels, duration, dt):
-    """RK4 stepping of the Lindblad equation under the static ``h``, as a map."""
-    ops = [chan.operator for chan in channels]
-    dags = [op.conj().T for op in ops]
-    gamma_tot = sum(dag @ op for op, dag in zip(ops, dags)) if ops else None
+def _master_rk4(heff, channels, duration, dt):
+    """RK4 stepping of the Lindblad equation under the static H_eff ``heff``, as a map."""
+    ops = [(chan.operator, chan.operator.conj().T) for chan in channels]
     max_rate = max((chan.rate for chan in channels), default=0.0)
 
     def rhs(mat):
-        out = -1j * (h @ mat - mat @ h)
-        for op, dag in zip(ops, dags):
+        half = heff @ mat  # rho H_eff+ is half+ for a Hermitian rho
+        out = -1j * (half - half.conj().T)
+        for op, dag in ops:
             out += op @ mat @ dag
-        if gamma_tot is not None:
-            half = gamma_tot @ mat
-            out -= 0.5 * (half + half.conj().T)
         return out
 
     if dt is None:
-        scale = np.linalg.norm(h, np.inf) / (2.0 * math.pi) + max_rate
+        scale = np.linalg.norm(0.5 * (heff + heff.conj().T), np.inf) / (2.0 * math.pi) + max_rate
         dt = min(duration / 2000.0, 1.0 / (50.0 * scale))
     steps = max(1, int(math.ceil(duration / dt)))
     dt = duration / steps
@@ -338,8 +310,9 @@ def run_trajectory(
     Returns the normalized final state and the jump records, timed on the
     clock ``t0`` starts: ``t0`` plus the offset into the segment.  Needs an
     explicit numpy Generator so that callers own reproducibility.  This is
-    a one-row call of ``run_trajectories``.
+    a one-row call of ``run_trajectories``; the state must be a unit vector.
     """
+    validate_state(state)
     psi = np.array(state, dtype=complex)
     states, jumps = run_trajectories(psi[None], ham, channels, duration, RowStreams([rng]), t0)
     return TrajectoryResult(states[0], jumps[0])
@@ -356,11 +329,15 @@ def run_trajectories(
     normalized final states and, per row, the tuple of jump records timed
     as ``t0`` plus the offset into the segment.  Without channels or
     duration the rows evolve unitarily and draw nothing.  A generator
-    outside the block structure is a ValueError.
+    outside the block structure, or a row that is not finite or has zero
+    norm, is a ValueError.
     """
     states = np.asarray(states, dtype=complex)
-    blocks = _blocks(ham, channels)
-    psi = states / np.linalg.norm(states, axis=1, keepdims=True)
+    blocks = _blocks(ham, tuple(channels))
+    norms = np.linalg.norm(states, axis=1, keepdims=True)
+    if not np.all((norms > 0.0) & (norms < math.inf)):
+        raise ValueError("every row must be finite with a nonzero norm")
+    psi = states / norms
     if duration == 0.0 or not channels:
         return _evolve_rows(blocks, psi, duration, t0), [()] * len(psi)
     return _trajectory_rows(psi, blocks, channels, duration, streams, t0)
@@ -378,8 +355,8 @@ class _Blocks:
 
     Amplitude j evolves as exp(freq[j] t), except that each pair
     (upper[k], lower[k]) with coupling op[upper, lower] mixes by the
-    exponential of its 2x2 block.  The frame turns the lower states by
-    exp(i omega t).  With no pairs this is the exact diagonal case.
+    exponential of its 2x2 block.  The frame turns state j by
+    exp(i turn[j] t).  With no pairs this is the exact diagonal case.
     """
 
     freq: np.ndarray
@@ -388,15 +365,20 @@ class _Blocks:
     upper: np.ndarray
     lower: np.ndarray
     coupling: np.ndarray
-    omega: float
+    turn: np.ndarray
 
     def frame(self, psi, t, sign):
-        """Lab-frame rows at time(s) t into the frame (sign +1), or back (-1)."""
-        if self.omega == 0.0:
+        """Lab-frame rows at time t into the frame (sign +1), or back (-1)."""
+        if not self.turn.any():
             return psi
-        out = np.array(psi)
-        out[:, self.lower] *= np.exp(sign * 1j * self.omega * np.asarray(t, float)).reshape(-1, 1)
-        return out
+        return psi * np.exp(sign * 1j * self.turn * t)
+
+    def generator(self):
+        """The dense H' - (i/2) sum L+L."""
+        heff = np.diag(1j * self.freq)
+        heff[self.upper, self.lower] = self.coupling
+        heff[self.lower, self.upper] = self.coupling.conj()
+        return heff
 
     def mix(self, psi, t):
         """Each pair's amplitudes after each row's time t.
@@ -434,16 +416,18 @@ class _Blocks:
         terms[:, self.upper] = up.real**2 + up.imag**2
         terms[:, self.lower] = low.real**2 + low.imag**2
 
-    def jump(self, psi, op, t):
-        """Rows in the frame after ``op`` strikes at times t."""
-        return self.frame(self.frame(psi, t, -1) @ op.T, t, 1)
 
-
-def _blocks(ham: HamiltonianSpec, channels) -> _Blocks:
-    """The block structure of ``ham`` with ``channels``, or a ValueError.
+@lru_cache(maxsize=32)
+def _blocks(ham: HamiltonianSpec, channels: tuple) -> _Blocks:
+    """The block structure of ``ham`` with ``channels`` and its frame, or a ValueError.
 
     Needs a diagonal static part, diagonal L+L products and at most one
     periodic term, whose operator couples disjoint pairs of basis states.
+    The frame exp(-i omega t P_S) turns S: the drive's sources, grown by
+    each state a channel links to S where it also links two states of S
+    (the whole h level for the sideband, as cavity loss reaches the
+    undriven |h, dim-1>).  A channel left turning by more than a global
+    phase is a ValueError.
     """
     diag = ham.static_diagonal
     if diag is None:
@@ -454,10 +438,23 @@ def _blocks(ham: HamiltonianSpec, channels) -> _Blocks:
     upper, lower, coupling, omega = ham.drive_pairs
     products = np.array(products, dtype=float).reshape(len(products), diag.size)
     gamma = np.sum(products, axis=0)
-    h = diag.copy()
-    h[lower] -= omega
-    freq = -1j * h - 0.5 * gamma
-    return _Blocks(freq, gamma, products, upper, lower, coupling, omega)
+    inside = np.isin(np.arange(diag.size), lower)
+    if upper.size:
+        links = [chan.operator != 0.0 for chan in channels]
+        size = 0
+        while size < inside.sum():
+            size = inside.sum()
+            for link in links:
+                if link[np.ix_(inside, inside)].any():
+                    inside = inside | link[:, inside].any(axis=1) | link[inside].any(axis=0)
+        steps = [inside[rows].astype(int) - inside[cols] for rows, cols in map(np.nonzero, links)]
+        if inside[upper].any() or any(np.any(step != step[:1]) for step in steps):
+            raise ValueError("no frame makes the drive and every channel static")
+    turn = omega * inside
+    freq = -1j * (diag - turn) - 0.5 * gamma
+    for shared in (freq, gamma, products, turn):  # every caller gets the cached arrays
+        shared.flags.writeable = False
+    return _Blocks(freq, gamma, products, upper, lower, coupling, turn)
 
 
 def _evolve_rows(blocks, psi, duration, t0):
@@ -473,8 +470,8 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
     rows to the segment's end; a row's survival is its squared norm there.
     Rows whose survival stays above the threshold finish with that state,
     the rest jump at the time their survival falls to the threshold.  Rows
-    evolve in the drive's frame, entered at ``t0`` and left at the
-    segment's end.
+    evolve in the frame, entered at ``t0`` and left at the segment's end;
+    a jump there changes a row by at most a global phase.
     """
     out = np.empty_like(psi)
     jumps = [()] * len(psi)
@@ -504,7 +501,7 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
         # is the squared norm of the jumped row.
         channel_weights = (psi.real**2 + psi.imag**2) @ blocks.products.T
         total = channel_weights.sum(axis=1, keepdims=True)
-        if np.any(total <= 0.0):
+        if not np.all(total > 0.0):
             raise RuntimeError("no open jump channel at threshold crossing")
         picks = _draw_index(np.cumsum(channel_weights, axis=1) / total, streams.take(live))
         norms = np.sqrt(channel_weights[np.arange(len(picks)), picks])[:, None]
@@ -513,8 +510,7 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
         # first call.
         for idx in np.flatnonzero(np.bincount(picks)):
             rows = picks == idx
-            jumped = blocks.jump(psi[rows], channels[idx].operator, t0 + t_done[rows])
-            psi[rows] = jumped / norms[rows]
+            psi[rows] = psi[rows] @ channels[idx].operator.T / norms[rows]
         for row, t, idx in zip(live, t0 + t_done, picks):
             jumps[row] += (JumpRecord(time=float(t), label=channels[idx].label),)
     return out, jumps
@@ -583,7 +579,8 @@ def trajectory_ensemble_density(
     n_traj: int,
     seed: int,
 ) -> np.ndarray:
-    """Trajectory-averaged density matrix with per-trial seeded streams."""
+    """Trajectory-averaged density matrix of a unit state, with per-trial seeded streams."""
+    validate_state(state)
     psi0 = np.asarray(state, dtype=complex)
     acc = np.zeros((psi0.size, psi0.size), dtype=complex)
     for trials in _row_blocks(n_traj):

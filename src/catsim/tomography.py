@@ -120,7 +120,7 @@ def simulate_tomography(
 ) -> WignerGrid:
     """Circuit-simulated Wigner grid from repeated single-shot parity.
 
-    ``state`` is a joint pure state with the ancilla in g.  Each point
+    ``state`` is a joint unit state with the ancilla in g.  Each point
     displaces the cavity, runs one gf parity map and readout under the
     full noise model, and scores +1 for a reported g.  The shots of all
     points run as rows of one batch that share ``rng``.  Values carry the
@@ -129,6 +129,7 @@ def simulate_tomography(
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    validate_state(state)
     state = np.asarray(state, dtype=complex)
     betas = np.asarray(betas, dtype=complex).ravel()
     block = state.reshape(4, basis.dim)

@@ -47,15 +47,18 @@ def test_cold_start_imports_no_scipy(tmp_path):
 
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     # perfbench/tracer.py wraps catsim functions by name, so a rename in
-    # src/ breaks the traced benchmark; run it on a small traced pass.
+    # src/ breaks the traced benchmark; run it on a small traced pass.  It
+    # labels a trajectory's path from HamiltonianSpec and CollapseChannel
+    # attributes it reads leniently, so one static run must count as
+    # diagonal.
     out = str(tmp_path / "x.json")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = (
         "import sys\n"
         f"sys.path.insert(0, {os.path.join(root, 'perfbench')!r})\n"
-        "import tracer, catsim.cli, catsim.protocols as protocols\n"
-        "from catsim.hilbert import CavityBasis\n"
-        "from catsim.model import SystemParams\n"
+        "import tracer, catsim.cli, catsim.dynamics as dynamics, catsim.protocols as protocols\n"
+        "from catsim.hilbert import CavityBasis, fock_state, joint_state\n"
+        "from catsim.model import SystemParams, build_hamiltonian, collapse_channels\n"
         "trace = tracer.Tracer()\n"
         "trace.install()\n"
         "argv = ['parity-once', '--protocol', 'ft', '--drive', 'time-dependent',\n"
@@ -66,12 +69,18 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
         "assert catsim.cli.run(argv) == 0\n"
         "protocols.repeated_parity(SystemParams(), 'gf', 3, basis=CavityBasis(10),\n"
         "                          trials=3, seed=1)\n"
+        "basis = CavityBasis(4)\n"
+        "dynamics.run_trajectory(joint_state('e', fock_state(1, basis)),\n"
+        "                        build_hamiltonian(SystemParams(), basis),\n"
+        "                        collapse_channels(SystemParams(), basis), 1e-6,\n"
+        "                        dynamics.trajectory_rng(0))\n"
         "layers = trace.per_layer()\n"
         "assert set(layers) == set(tracer.PER_LAYER_METRICS)\n"
         "print(layers['protocols.parity_map.calls'], layers['model.context.self_s'] > 0,\n"
         "      layers['protocols.repeated_parity.self_s'] > 0, layers['cli.parity-once.s'] > 0,\n"
         "      layers['analytics.phase_kick_monte_carlo.self_s'] > 0,\n"
-        "      layers['analytics.error_event_table.self_s'] > 0, layers['cli.error-budget.s'] > 0)\n"
+        "      layers['analytics.error_event_table.self_s'] > 0, layers['cli.error-budget.s'] > 0,\n"
+        "      layers['dynamics.run_trajectory.diagonal.calls'])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(catsim.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -80,4 +89,4 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["6"] + ["True"] * 6
+    assert done.stdout.split() == ["6"] + ["True"] * 6 + ["1"]

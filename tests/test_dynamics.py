@@ -32,6 +32,7 @@ from catsim.dynamics import (
     trajectory_ensemble_density,
     trajectory_rng,
 )
+from catsim.protocols import repeated_parity
 
 TWO_PI = 2.0 * math.pi
 
@@ -379,6 +380,18 @@ def test_ramsey_probe_needs_no_photon_headroom(monkeypatch):
     assert exact == pytest.approx(padded, rel=1e-10)
 
 
+def run_isolated(code):
+    """Stdout of ``code`` run in a fresh interpreter that a timeout stops."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dynamics.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_ramsey_rejects_a_step_or_span_that_is_not_positive_and_finite():
     # An invalid step or span used to loop forever, so the calls run in a
     # subprocess that a timeout stops.
@@ -398,14 +411,59 @@ def test_ramsey_rejects_a_step_or_span_that_is_not_positive_and_finite():
         "        raise AssertionError(kwargs)\n"
         "print('ok')\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dynamics.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+    assert run_isolated(code) == "ok"
+
+
+def test_nan_or_zero_states_are_refused_instead_of_hanging():
+    # A NaN or zero state used to send the trajectory passes round forever,
+    # and evolve_unitary returned NaN or took a 2-D array; the calls run in
+    # a subprocess that a timeout stops.  A NaN row that still reaches the
+    # engine stops at its channel guard.
+    code = (
+        "import numpy as np\n"
+        "from catsim import dynamics\n"
+        "from catsim.hilbert import CavityBasis\n"
+        "from catsim.model import SystemParams, build_hamiltonian, collapse_channels\n"
+        "from catsim.tomography import simulate_tomography\n"
+        "params, basis = SystemParams(), CavityBasis(4)\n"
+        "ham, channels = build_hamiltonian(params, basis), collapse_channels(params, basis)\n"
+        "rng = dynamics.trajectory_rng(0)\n"
+        "calls = {\n"
+        "    'run_trajectory': lambda s: dynamics.run_trajectory(s, ham, channels, 1e-6, rng),\n"
+        "    'run_trajectories': lambda s: dynamics.run_trajectories(\n"
+        "        s[None], ham, channels, 1e-6, dynamics.RowStreams([rng])),\n"
+        "    'ensemble': lambda s: dynamics.trajectory_ensemble_density(\n"
+        "        s, ham, channels, 1e-6, 4, seed=0),\n"
+        "    'tomography': lambda s: simulate_tomography(s, [0.0], params, 2, rng, basis),\n"
+        "    'unitary': lambda s: dynamics.evolve_unitary(s, ham, 1e-6),\n"
+        "}\n"
+        "inf_row = np.eye(16, dtype=complex)[0]\n"
+        "inf_row[3] = np.inf\n"
+        "for name, call in calls.items():\n"
+        "    for state in (np.full(16, np.nan), np.zeros(16), inf_row):\n"
+        "        try:\n"
+        "            call(state)\n"
+        "        except ValueError:\n"
+        "            pass\n"
+        "        else:\n"
+        "            raise AssertionError(name)\n"
+        "try:\n"
+        "    dynamics.evolve_unitary(np.eye(16, dtype=complex)[:2], ham, 1e-6)\n"
+        "except ValueError as err:\n"
+        "    assert '1-D' in str(err), err\n"
+        "else:\n"
+        "    raise AssertionError('2-D state')\n"
+        "try:\n"
+        "    dynamics._trajectory_rows(np.full((1, 16), np.nan + 0j),\n"
+        "                              dynamics._blocks(ham, channels), channels, 1e-6,\n"
+        "                              dynamics.RowStreams([rng]), 0.0)\n"
+        "except RuntimeError as err:\n"
+        "    assert 'no open jump channel' in str(err), err\n"
+        "else:\n"
+        "    raise AssertionError('NaN row')\n"
+        "print('ok')\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "ok"
+    assert run_isolated(code) == "ok"
 
 
 # 1-norms from far below the degree-13 bound, where the approximant is used
@@ -643,18 +701,21 @@ def rk4_lindblad(psi, ham, channels, duration, dt):
 @pytest.mark.parametrize("dim", [6, 20])
 def test_block_propagator_matches_expm(dim, delta):
     # The closed-form 2x2 blocks against expm of the dense frame generator,
-    # without dissipation (H') and with it (H_eff).
+    # without dissipation (H') and with it (H_eff).  With channels the
+    # engine's frame also turns |h, dim-1>, so both sides are compared in
+    # the lab frame, where the no-jump evolution does not depend on it.
     ham, channels = driven(dim, delta)
+    omega = TWO_PI * ham.periodic[0][1]
     psi = random_rows(np.random.default_rng(dim), 3, 4 * dim)
     times = np.array([5e-8, 4e-7, 2.1e-6])
     for chans in ((), channels):
         blocks = dynamics._blocks(ham, chans)
         assert blocks.upper.size == dim - 1
-        gen, _ = frame_generator(ham, chans)
+        gen, sources = frame_generator(ham, chans)
         got = blocks.propagate(psi, times)
         for row, t in enumerate(times):
-            reference = expm(-1j * gen * t) @ psi[row]
-            assert np.max(np.abs(got[row] - reference)) <= 1e-12
+            reference = np.exp(-1j * omega * t * sources) * (expm(-1j * gen * t) @ psi[row])
+            assert np.max(np.abs(blocks.frame(got[row], t, -1) - reference)) <= 1e-12
 
 
 def test_block_propagator_at_exceptional_point():
@@ -784,6 +845,35 @@ def test_driven_master_matches_lab_frame_lindblad(case):
     assert np.max(np.abs(exact - reference)) <= tolerance
 
 
+def test_jumps_into_the_turned_states_match_master():
+    # At the truncation edge of a dim-4 cavity, thermal f -> h jumps and
+    # cavity loss out of |h, 3> land in the states the frame turns; the
+    # trajectories apply them there without leaving the frame.  The mean of
+    # N pure states misses rho by D with E|D|_F^2 = sigma^2 = (1 - Tr rho^2)/N,
+    # and |D|_F, a sum over 256 entries, stays near sigma; the trace distance
+    # is at most sqrt(d) |D|_F / 2, so sqrt(d) sigma allows twice that.
+    params = SystemParams(n_th=1.0, T1_cavity=4e-6)
+    basis = CavityBasis(dim=4)
+    drive = DriveSpec(params.omega_sb, DRIVE_DETUNINGS[1])
+    ham = build_hamiltonian(params, basis, mode="time_dependent", drive=drive)
+    channels = collapse_channels(params, basis, drive_on=True)
+    psi = np.zeros(16, dtype=complex)
+    for level, n in (("f", 3), ("h", 3), ("f", 2), ("e", 3)):
+        psi[joint_index(level, n, 4)] = 0.5
+    rows = 8000
+    reference = evolve_master(psi, ham, channels, 2e-6)
+    streams = dynamics.RowStreams([trajectory_rng(6, 0, i) for i in range(rows)])
+    states, jumps = dynamics.run_trajectories(
+        np.tile(psi, (rows, 1)), ham, channels, 2e-6, streams
+    )
+    labels = [j.label for row in jumps for j in row]
+    assert labels.count("thermal_fh") > 500 and labels.count("cavity_loss") > 5000
+    sampled = states.T @ states.conj() / rows
+    purity = float(np.real(np.trace(reference @ reference)))
+    sigma = math.sqrt((1.0 - purity) / rows)
+    assert trace_distance(reference, sampled) <= math.sqrt(16) * sigma
+
+
 def test_time_dependent_ensemble_matches_master():
     # The exact block trajectories average to the master equation of the
     # oscillating drive.
@@ -827,8 +917,33 @@ def test_generators_outside_the_block_structure_are_rejected():
     swap[0, 1] = swap[1, 0] = mix[1, 1] = mix[0, 1] = 1.0
     driven_pair = HamiltonianSpec(static=zero, periodic=((pair, 1e6),))
     for op in (swap, mix):
+        chan = CollapseChannel("c", op, 1.0)
         with pytest.raises(ValueError, match="no frame"):
-            evolve_master(psi, driven_pair, (CollapseChannel("c", op, 1.0),), 1e-6)
+            evolve_master(psi, driven_pair, (chan,), 1e-6)
+        with pytest.raises(ValueError, match="no frame"):
+            run_trajectory(psi, driven_pair, (chan,), 1e-6, trajectory_rng(0))
     flip = CollapseChannel("flip", np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex), 1.0)
     with pytest.raises(ValueError, match="product to be diagonal"):
         run_trajectory(psi[:2], two_level_ham(), (flip,), 1e-6, trajectory_rng(0))
+
+
+def test_block_structure_is_built_once_per_hamiltonian_and_channels():
+    # A list of channels runs as the tuple does, and a batched record
+    # builds the map's and the readout's structure once each.
+    ham, channels = driven(6, DRIVE_DETUNINGS[1])
+    psi = random_rows(np.random.default_rng(9), 6, 24)
+
+    def run(chans):
+        streams = dynamics.RowStreams([trajectory_rng(9, 0, i) for i in range(6)])
+        return dynamics.run_trajectories(psi, ham, chans, 20e-6, streams)
+
+    (tuple_states, tuple_jumps), (list_states, list_jumps) = run(channels), run(list(channels))
+    assert any(tuple_jumps)
+    assert tuple_states.tobytes() == list_states.tobytes() and tuple_jumps == list_jumps
+    by_list = evolve_master(psi[0], ham, list(channels), 1e-6)
+    assert np.array_equal(by_list, evolve_master(psi[0], ham, channels, 1e-6))
+    dynamics._blocks.cache_clear()
+    repeated_parity(SystemParams(), "ft", 3, basis=CavityBasis(8), trials=5, seed=1,
+                    drive_mode="time_dependent")
+    info = dynamics._blocks.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
