@@ -12,7 +12,9 @@ diagonal, so H' - (i/2) sum L+L has the same blocks.  Unitary evolution
 and the batched waiting-time trajectories (Dalibard, Castin & Molmer,
 PRL 68, 580 (1992)) are therefore exact, with jump times from a
 safeguarded Newton solve.  The master equation runs in the same frame,
-by superoperator exponential or RK4.
+where its generator keeps N - N' of each density element (N = n + [h]);
+each sector it never mixes is exponentiated exactly at every dimension,
+and RK4 runs only at a caller's step.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ __all__ = [
     "trajectory_ensemble_density",
     "trajectory_rng",
 ]
-
-# Above this dimension the d^2 x d^2 superoperator exponential is slower
-# than stepping; RK4 takes over.
-SUPEROP_DIM_LIMIT = 32
 
 POSITIVITY_FLOOR = -1e-5
 
@@ -173,9 +171,38 @@ def liouvillian(ham: HamiltonianSpec, channels) -> np.ndarray:
     return sup
 
 
-def master_propagator(ham: HamiltonianSpec, channels, duration: float) -> np.ndarray:
-    """exp(L t) for ``liouvillian``'s generator; reusable across steps."""
-    return _expm(liouvillian(ham, channels) * duration)
+def _sectors(heff, channels):
+    """(indices, generator block) of each sector of density elements the generator never mixes.
+
+    A sector is a component of the sparsity of sum kron(A, B) over ``terms``
+    on the row-major density: (j, j') links to (l, l') if A[j, l] B[j', l'] != 0.
+    """
+    d = len(heff)
+    ident = np.eye(d)
+    terms = [(-1j * heff, ident), (ident, 1j * heff.conj()),
+             *((chan.operator, chan.operator.conj()) for chan in channels)]
+    links = [np.nonzero(a) + np.nonzero(b) for a, b in terms]
+    u = np.concatenate([(ja[:, None] * d + jb).ravel() for ja, _, jb, _ in links])
+    v = np.concatenate([(la[:, None] * d + lb).ravel() for _, la, _, lb in links])
+    u, v = np.concatenate([u, v]), np.concatenate([v, u])
+    labels, old = np.arange(d * d), None
+    while not np.array_equal(labels, old):  # each label falls to its component's least index
+        old = labels.copy()
+        np.minimum.at(labels, u, labels[v])
+        labels = labels[labels]
+    order = np.argsort(labels, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        rows, cols = divmod(idx, d)
+        yield idx, sum(a[rows[:, None], rows] * b[cols[:, None], cols] for a, b in terms)
+
+
+def master_propagator(ham: HamiltonianSpec, channels, duration: float) -> list:
+    """exp(L t) of ``liouvillian``'s generator, as one (indices, matrix) pair per sector.
+
+    The indices pick the sector's elements of the row-major density.
+    """
+    heff = _blocks(ham, tuple(channels)).generator()
+    return [(idx, _expm(gen * duration)) for idx, gen in _sectors(heff, channels)]
 
 
 # Pade-13 coefficients b_0..b_13 of exp and the 1-norm up to which the
@@ -222,30 +249,32 @@ def evolve_master(
 ) -> np.ndarray:
     """Evolve a unit state vector or a density matrix under the Lindblad equation.
 
-    Small problems go through the exact superoperator exponential; passing ``dt``
-    forces RK4 stepping with that step (useful for convergence checks), as does
-    a dimension past the superoperator limit; either runs a drive in its frame
-    and returns the lab-frame state.
+    Exact by the sector exponentials of ``master_propagator`` at every
+    dimension; passing ``dt`` runs RK4 with that step instead (a reference
+    for convergence checks).  Both run a drive in its frame and return the
+    lab-frame state.
     """
     (validate_state if np.ndim(state) == 1 else validate_density)(state)
     rho = as_density(state).astype(complex)
-    return _master_evolution(ham, channels, duration, rho.shape[0], dt)(rho)
+    return _master_evolution(ham, channels, duration, dt)(rho)
 
 
-def _master_evolution(ham: HamiltonianSpec, channels, duration: float, d: int, dt=None):
-    """The map taking a d x d density matrix through ``duration``, built once.
+def _master_evolution(ham: HamiltonianSpec, channels, duration: float, dt=None):
+    """The map taking a density matrix through ``duration``, built once.
 
-    The map is the superoperator propagator or the RK4 stepper, chosen and
-    run as in ``evolve_master``; apply it to as many densities as needed.
+    The map applies the sector propagators, or steps RK4 at a given ``dt``,
+    as ``evolve_master`` says; apply it to as many densities as needed.
     """
     if duration == 0.0:
         return lambda rho: rho
     blocks = _blocks(ham, tuple(channels))
-    if dt is None and d <= SUPEROP_DIM_LIMIT:
-        prop = master_propagator(ham, channels, duration)
+    if dt is None:
+        props = master_propagator(ham, channels, duration)
 
         def evolve(rho):
-            out = (prop @ rho.reshape(-1)).reshape(d, d)
+            out, vec = np.empty_like(rho), rho.reshape(-1)
+            for idx, prop in props:
+                out.flat[idx] = prop @ vec[idx]
             out = 0.5 * (out + out.conj().T)
             return out / np.real(np.trace(out))
 
@@ -260,7 +289,6 @@ def _master_evolution(ham: HamiltonianSpec, channels, duration: float, d: int, d
 def _master_rk4(heff, channels, duration, dt):
     """RK4 stepping of the Lindblad equation under the static H_eff ``heff``, as a map."""
     ops = [(chan.operator, chan.operator.conj().T) for chan in channels]
-    max_rate = max((chan.rate for chan in channels), default=0.0)
 
     def rhs(mat):
         half = heff @ mat  # rho H_eff+ is half+ for a Hermitian rho
@@ -269,9 +297,6 @@ def _master_rk4(heff, channels, duration, dt):
             out += op @ mat @ dag
         return out
 
-    if dt is None:
-        scale = np.linalg.norm(0.5 * (heff + heff.conj().T), np.inf) / (2.0 * math.pi) + max_rate
-        dt = min(duration / 2000.0, 1.0 / (50.0 * scale))
     steps = max(1, int(math.ceil(duration / dt)))
     dt = duration / steps
     check_every = max(1, steps // 10)
@@ -427,8 +452,11 @@ def _blocks(ham: HamiltonianSpec, channels: tuple) -> _Blocks:
     each state a channel links to S where it also links two states of S
     (the whole h level for the sideband, as cavity loss reaches the
     undriven |h, dim-1>).  A channel left turning by more than a global
-    phase is a ValueError.
+    phase is a ValueError, as is a non-finite matrix entry.
     """
+    mats = (ham.static, *(op for op, _ in ham.periodic), *(chan.operator for chan in channels))
+    if not all(np.isfinite(mat).all() for mat in mats):
+        raise ValueError("non-finite entry in the Hamiltonian or a channel operator")
     diag = ham.static_diagonal
     if diag is None:
         raise ValueError("exact evolution needs a diagonal static Hamiltonian")
@@ -615,27 +643,26 @@ def ramsey_t2(
 
     p_e = params.n_th / (1.0 + params.n_th)
     ancilla_pop = np.array([1.0 - p_e, p_e, 0.0, 0.0])
-    plus = np.zeros(basis.dim, dtype=complex)
-    plus[0] = plus[1] = 1.0 / math.sqrt(2.0)
-    cavity_rho = np.outer(plus, plus.conj())
-    rho = np.kron(np.diag(ancilla_pop).astype(complex), cavity_rho)
+    cavity_rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+    cavity_rho[:2, :2] = 0.5  # |+><+| for the 0-1 superposition
+    rho = np.kron(np.diag(ancilla_pop), cavity_rho)
 
-    prop = master_propagator(ham, channels, sample_dt)
-    dim = rho.shape[0]
-
-    def cavity_coherence(mat):
-        blocks = mat.reshape(4, basis.dim, 4, basis.dim)
-        return abs(np.einsum("anan->", blocks[:, 0:1, :, 1:2]))
+    # The (a, 0; a, 1) elements of the row-major density, and the sectors holding them.
+    tracked = np.ravel_multi_index((np.arange(4), 0, np.arange(4), 1), (4, basis.dim) * 2)
+    steps = [(idx, _expm(gen * sample_dt))
+             for idx, gen in _sectors(_blocks(ham, tuple(channels)).generator(), channels)
+             if (idx[:, None] == tracked).any()]
 
     flat = rho.reshape(-1)
-    c0 = cavity_coherence(rho)
+    c0 = abs(flat[tracked].sum())
     times = [0.0]
     values = [c0]
     t = 0.0
     while t < t_max:
-        flat = prop @ flat
+        for idx, prop in steps:
+            flat[idx] = prop @ flat[idx]
         t += sample_dt
-        values.append(cavity_coherence(flat.reshape(dim, dim)))
+        values.append(abs(flat[tracked].sum()))
         times.append(t)
         if values[-1] < 0.25 * c0:
             break

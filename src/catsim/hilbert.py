@@ -137,12 +137,12 @@ def fock_state(n: int, basis: CavityBasis = CavityBasis()) -> np.ndarray:
 def coherent_state(alpha: complex, basis: CavityBasis = CavityBasis()) -> np.ndarray:
     """Normalized coherent state |alpha> in the truncated Fock basis.
 
-    Raises ValueError when ``|alpha|**2 > dim / 3``; that regime parks too
-    much weight near the truncation edge for downstream evolution to be
-    meaningful.  A milder truncation deficit still triggers a warning.
+    Raises ValueError when ``|alpha|**2 > dim / 3`` beyond round-off; that
+    regime parks too much weight near the truncation edge for downstream
+    evolution to be meaningful.  A milder truncation deficit still warns.
     """
     nbar = abs(alpha) ** 2
-    if nbar > basis.dim / 3.0:
+    if nbar > basis.dim / 3.0 * (1.0 + 4.0 * np.finfo(float).eps):
         raise ValueError(
             f"|alpha|^2 = {nbar:.4g} exceeds dim/3 = {basis.dim / 3.0:.4g}; "
             "enlarge the Fock space"

@@ -51,7 +51,6 @@ __all__ = [
     "ASSIGNMENT_FIDELITY",
     "F_OUTCOME_RATE",
     "InjectedError",
-    "MASTER_BUDGET",
     "MapResult",
     "OUTCOMES",
     "PROTOCOLS",
@@ -94,10 +93,6 @@ F_OUTCOME_RATE = {"ge": 0.005, "gf": 0.08, "ft": 0.10}
 # Reported outcomes, indexed as the rows of the confusion matrix.
 OUTCOMES = ("g", "e", "f")
 _EVENT_BY_OUTCOME = {"g": "no_error", "e": "dephasing", "f": "relaxation"}
-
-# Number of density-matrix elements a master-mode repetition may touch
-# before the caller must switch to trajectories.
-MASTER_BUDGET = 131072
 
 
 @dataclass(frozen=True)
@@ -362,28 +357,21 @@ def repeated_parity(
     one batch, each giving the record it gives alone, and the rounds are
     built from the batch's record arrays.  Master mode propagates the
     full density matrix, under either drive, and returns the postselected
-    all-g ensemble; its cost grows as rounds times the squared joint
-    dimension, so it is budget-capped to small problems.
+    all-g ensemble.
     """
     _check_protocol(protocol)
     _check_drive_mode(drive_mode)
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds}")
-    if mode == "master":
-        cost = n_rounds * (4 * basis.dim) ** 2
-        if cost > MASTER_BUDGET:
-            raise ValueError(
-                f"master mode needs {cost} density elements, over the "
-                f"budget of {MASTER_BUDGET}; use trajectories"
-            )
-    elif mode != "trajectory":
+    if mode == "trajectory":
+        if trials is not None and trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
+        if trials is not None and seed is None:
+            raise ValueError("trials requires a seed for independent streams")
+        if trials is None and rng is None:
+            raise ValueError("single-record mode requires an rng")
+    elif mode != "master":
         raise ValueError(f"unknown mode {mode!r}")
-    elif trials is not None and trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    elif trials is not None and seed is None:
-        raise ValueError("trials requires a seed for independent streams")
-    elif trials is None and rng is None:
-        raise ValueError("single-record mode requires an rng")
     if initial_cavity is None:
         cavity = cat_state(DEFAULT_ALPHA, basis)
     else:
@@ -445,8 +433,8 @@ def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive_mod
     closing = lift_ancilla(_CLOSING[protocol], dim)
 
     survival = 1.0
-    wait = _master_evolution(ham, channels, map_duration(params, protocol), 4 * dim)
-    readout = _master_evolution(ro_ham, ro_channels, params.t_ro, 4 * dim)
+    wait = _master_evolution(ham, channels, map_duration(params, protocol))
+    readout = _master_evolution(ro_ham, ro_channels, params.t_ro)
     for _ in range(n_rounds):
         rho = opening @ rho @ closing
         rho = wait(rho)

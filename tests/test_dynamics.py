@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.stats import kstest
@@ -149,12 +151,11 @@ def test_master_step_doubling_converges():
     assert err_fine < 1e-8
 
 
-def test_master_rk4_automatic_step_damps_a_coherent_state():
-    # Past the superoperator limit with no dt, evolve_master picks its own
-    # RK4 step.  Loss alone takes |g>|alpha> to |g>|alpha e^{-t/2T1}>.
+def test_master_sectors_damp_a_coherent_state_at_dim_9():
+    # Joint dim 36, which the sectors take as exactly as a small problem.
+    # Loss alone takes |g>|alpha> to |g>|alpha e^{-t/2T1}>.
     params = SystemParams(kerr=0.0, T1_cavity=2e-6)
     basis = CavityBasis(9)
-    assert 4 * basis.dim > dynamics.SUPEROP_DIM_LIMIT
     ham = build_hamiltonian(params, basis)
     loss = tuple(c for c in collapse_channels(params, basis) if c.label == "cavity_loss")
     psi = joint_state("g", coherent_state(0.3, basis))
@@ -488,11 +489,116 @@ def test_master_propagator_matches_scipy_on_the_ramsey_liouvillian():
         ham = build_hamiltonian(params, basis, mode=mode, drive=drive)
         channels = collapse_channels(params, basis, drive_on=drive is not None)
         reference = expm(dynamics.liouvillian(ham, channels) * 2e-6)
-        propagator = dynamics.master_propagator(ham, channels, 2e-6)
-        side = (4 * dynamics.RAMSEY_CAVITY_DIM) ** 2
-        assert propagator.shape == (side, side)
+        # The sector pairs, assembled into the dense propagator.
+        propagator = np.zeros_like(reference)
+        for idx, block in dynamics.master_propagator(ham, channels, 2e-6):
+            propagator[np.ix_(idx, idx)] = block
         error = np.linalg.norm(propagator - reference)
         assert error <= 1e-12 * np.linalg.norm(reference)
+
+
+def mode_generator(dim, mode):
+    """Hamiltonian and channels at the ft drive under ``mode``, or undriven for off."""
+    params = SystemParams()
+    basis = CavityBasis(dim=dim)
+    drive = None if mode == "off" else DriveSpec(params.omega_sb, DRIVE_DETUNINGS[1])
+    ham = build_hamiltonian(params, basis, mode=mode, drive=drive)
+    return ham, collapse_channels(params, basis, drive_on=drive is not None)
+
+
+@pytest.mark.parametrize("mode", ["off", "effective", "time_dependent"])
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_sectors_split_the_liouvillian_exactly(dim, mode):
+    ham, channels = mode_generator(dim, mode)
+    d = 4 * dim
+    heff = dynamics._blocks(ham, channels).generator()
+    sectors = [idx for idx, _ in dynamics._sectors(heff, channels)]
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(d * d))
+    label = np.empty(d * d, dtype=int)
+    for k, idx in enumerate(sectors):
+        label[idx] = k
+    sup = dynamics.liouvillian(ham, channels)
+    rows, cols = np.nonzero(sup)
+    assert np.array_equal(label[rows], label[cols])
+    # Each sector keeps k = N - N' with N = n + [ancilla in h].
+    excitations = np.arange(d) % dim + (np.arange(d) // dim == 3)
+    k = np.subtract.outer(excitations, excitations).ravel()
+    assert all(np.all(k[idx] == k[idx[0]]) for idx in sectors)
+    rng = np.random.default_rng(dim)
+    mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = mat @ mat.conj().T
+    flat = (rho / np.trace(rho)).reshape(-1)
+    out = np.empty_like(flat)
+    for idx, block in dynamics.master_propagator(ham, channels, 2e-6):
+        out[idx] = block @ flat[idx]
+    assert np.max(np.abs(out - dynamics._expm(sup * 2e-6) @ flat)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sector_propagator_matches_the_dense_exponential_on_small_generators(data):
+    d = data.draw(st.integers(2, 4), label="d")
+    unit = st.floats(-1.0, 1.0)
+    static = np.diag(data.draw(st.lists(unit, min_size=d, max_size=d))).astype(complex)
+    periodic = ()
+    if data.draw(st.booleans(), label="driven"):
+        pair = np.zeros((d, d), dtype=complex)
+        pair[0, 1] = data.draw(unit)
+        periodic = ((pair, data.draw(unit)),)
+    channels = []
+    for _ in range(data.draw(st.integers(0, 3), label="channels")):
+        # Each row reads at most one column, so L+L is diagonal.
+        op = np.zeros((d, d), dtype=complex)
+        for row in range(d):
+            col = data.draw(st.integers(-1, d - 1))
+            if col >= 0:
+                op[row, col] = data.draw(unit)
+        channels.append(CollapseChannel("c", op, 1.0))
+    ham = HamiltonianSpec(static=static, periodic=periodic)
+    try:
+        sup = dynamics.liouvillian(ham, channels)
+    except ValueError as err:
+        assert "no frame" in str(err)
+        reject()
+    dense = dynamics._expm(sup)
+    propagator = np.zeros_like(dense)
+    for idx, block in dynamics.master_propagator(ham, channels, 1.0):
+        propagator[np.ix_(idx, idx)] = block
+    assert np.max(np.abs(propagator - dense)) <= 1e-14
+
+
+def test_sectors_match_forced_step_rk4_at_dim_20():
+    # No dense superoperator fits at joint dim 80; RK4 at a forced step is
+    # the oracle, its error falling 16-fold per halving of the step.
+    ham, channels = mode_generator(20, "time_dependent")
+    psi = joint_state("e", coherent_state(1.5, CavityBasis(20)))
+    exact = evolve_master(psi, ham, channels, 0.1e-6)
+    errors = [
+        np.max(np.abs(evolve_master(psi, ham, channels, 0.1e-6, dt=dt) - exact))
+        for dt in (2e-9, 1e-9)
+    ]
+    assert errors[1] < 1e-8
+    assert 12.0 < errors[0] / errors[1] < 20.0
+
+
+def test_non_finite_generators_are_refused():
+    psi = np.array([0.6, 0.8j])
+    pair = np.zeros((2, 2), dtype=complex)
+    pair[0, 1] = np.nan
+    inf_channel = CollapseChannel("c", np.array([[0.0, np.inf], [0.0, 0.0]], dtype=complex), 1.0)
+    cases = (
+        (two_level_ham(np.diag([np.nan, 0.0]).astype(complex)), ()),
+        (two_level_ham(periodic=((pair, 1e6),)), ()),
+        (two_level_ham(), (inf_channel,)),
+    )
+    for ham, channels in cases:
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve_master(psi, ham, channels, 1e-6)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_trajectory(psi, ham, channels, 1e-6, trajectory_rng(0))
+        if not channels:
+            with pytest.raises(ValueError, match="non-finite"):
+                evolve_unitary(psi, ham, 1e-6)
 
 
 def test_trajectory_rng_streams():

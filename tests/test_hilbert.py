@@ -75,6 +75,15 @@ def test_coherent_state_rejects_large_amplitude():
         coherent_state(math.sqrt(7.0), CavityBasis(dim=20))
 
 
+def test_coherent_state_allows_round_off_at_the_bound():
+    # sqrt(2)**2 is 2.0000000000000004, and dim/3 is exactly 2.
+    with pytest.warns(UserWarning, match="truncation deficit"):
+        vec = coherent_state(math.sqrt(2.0), CavityBasis(dim=6))
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="dim/3"):
+        coherent_state(1.001 * math.sqrt(2.0), CavityBasis(dim=6))
+
+
 def test_coherent_state_warns_on_truncation_deficit():
     with pytest.warns(UserWarning, match="truncation deficit"):
         coherent_state(math.sqrt(6.5), CavityBasis(dim=20))

@@ -551,9 +551,22 @@ def test_array_filter_rejects_a_record_of_zero_likelihood():
         ParityFilter(flip_prob=0.01, f_assign=0.9, f_rate=0.0).update("f")
 
 
-def test_master_mode_budget(basis20):
-    with pytest.raises(ValueError, match="budget"):
-        repeated_parity(SystemParams(), "gf", 100, basis=basis20, mode="master")
+@pytest.mark.parametrize("drive_mode", ["effective", "time_dependent"])
+def test_master_mode_runs_100_rounds_at_dim_20(basis20, drive_mode):
+    ensemble = repeated_parity(
+        SystemParams(), "ft", 100, basis=basis20, mode="master", drive_mode=drive_mode
+    )
+    rho = ensemble.state
+    assert 0.0 < ensemble.probability < 1.0
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.linalg.eigvalsh(rho)[0] > -1e-12
+
+
+def test_master_mode_runs_the_default_cat_at_dim_6():
+    with pytest.warns(UserWarning, match="truncation deficit"):
+        ensemble = repeated_parity(SystemParams(), "gf", 3, basis=CavityBasis(6), mode="master")
+    assert 0.0 < ensemble.probability < 1.0
 
 
 def test_master_mode_builds_each_evolution_once(monkeypatch):
@@ -595,7 +608,6 @@ def test_repeated_parity_reports_configuration_errors_before_building_the_cat():
         (1, dict(trials=0, seed=1), "trials"),
         (1, dict(trials=-2), "trials"),
         (1, dict(mode="bogus"), "unknown mode"),
-        (1000, dict(mode="master"), "budget"),
         (1, dict(trials=2), "seed"),
         (1, dict(), "rng"),
         (1, dict(rng=trajectory_rng(1, 1, 0)), "enlarge the Fock space"),
