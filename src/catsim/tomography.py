@@ -44,6 +44,11 @@ __all__ = [
 
 TWO_OVER_PI = 2.0 / math.pi
 
+# Grid points per product in ``_observable_blocks`` and ``_displaced``: it
+# bounds what they hold at once, so a scan never holds its whole
+# (K, dim*dim) matrix and a simulated grid no second (K, 4, dim) stack.
+_BLOCK_ROWS = 32
+
 
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
@@ -87,9 +92,13 @@ def wigner_scan(rho_cavity: np.ndarray, betas) -> WignerGrid:
     """Exact Wigner values of a cavity state on a grid of displacements.
 
     The truncated space is the state's own; the values are
-    Re Tr[O(beta) rho] with the observables that ``mle_reconstruct`` fits.
-    Raises ValueError unless the state is a unit vector or a density matrix.
+    Re Tr[O(beta) rho] with the observables that ``mle_reconstruct`` fits,
+    taken block by block from ``_observable_blocks``, so the whole
+    (K, dim*dim) observable matrix is never held.  Raises ValueError unless
+    the state is a unit vector or a density matrix and every displacement
+    is finite.
     """
+    betas = _finite_betas(betas)
     rho_cavity = np.asarray(rho_cavity)
     if rho_cavity.ndim == 1:
         validate_state(rho_cavity)
@@ -97,7 +106,6 @@ def wigner_scan(rho_cavity: np.ndarray, betas) -> WignerGrid:
         validate_density(rho_cavity)
     rho = as_density(rho_cavity)
     dim = rho.shape[0]
-    betas = np.asarray(betas, dtype=complex).ravel()
     # Amplitude bound inside which a truncated Wigner value is trustworthy.
     radius = math.sqrt(dim / 4.0)
     if np.any(np.abs(betas) > radius):
@@ -106,8 +114,37 @@ def wigner_scan(rho_cavity: np.ndarray, betas) -> WignerGrid:
             f"trusted region at dim {dim}; edge values are approximate",
             stacklevel=2,
         )
-    values = _observable_matrix(betas, dim) @ _coordinates(rho)
+    coordinates = _coordinates(rho)
+    values = np.empty(len(betas))
+    for rows, block in _observable_blocks(betas, dim):
+        values[rows] = block @ coordinates
     return WignerGrid(betas=betas, values=values, shots=np.zeros(len(betas), dtype=int))
+
+
+def _finite_betas(betas) -> np.ndarray:
+    """The displacements as a flat complex array; ValueError if any is not finite."""
+    betas = np.asarray(betas, dtype=complex).ravel()
+    if not np.isfinite(betas).all():
+        raise ValueError("displacements must be finite")
+    return betas
+
+
+def _displaced(block: np.ndarray, betas: np.ndarray, basis: CavityBasis) -> np.ndarray:
+    """The (K, 4, dim) stack of block @ D(beta)^T, one (4, dim) block per beta.
+
+    With D = R V e^{i r Lambda} V+ R+ (see ``CavityBasis.displacement``)
+    and R = e^{i phi n} for beta = r e^{i phi}, that is two products in the
+    eigenbasis V, ``_BLOCK_ROWS`` points at a time.
+    """
+    vals, vecs = basis._quadrature_eigh
+    displaced = np.empty((len(betas), 4, basis.dim), dtype=complex)
+    for start in range(0, len(betas), _BLOCK_ROWS):
+        chunk = betas[start:start + _BLOCK_ROWS]
+        phases = np.exp(1j * np.outer(np.angle(chunk), np.arange(basis.dim)))[:, None, :]
+        rotated = (block * phases.conj()) @ vecs.conj()
+        rotated *= np.exp(1j * np.outer(np.abs(chunk), vals))[:, None, :]
+        displaced[start:start + len(chunk)] = (rotated @ vecs.T) * phases
+    return displaced
 
 
 def simulate_tomography(
@@ -125,16 +162,15 @@ def simulate_tomography(
     full noise model, and scores +1 for a reported g.  The shots of all
     points run as rows of one batch that share ``rng``.  Values carry the
     finite readout contrast; divide by ``vacuum_contrast`` to compare
-    with exact scans.
+    with exact scans.  Raises ValueError for fewer than one shot or a
+    non-finite displacement.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    betas = _finite_betas(betas)
     validate_state(state)
-    state = np.asarray(state, dtype=complex)
-    betas = np.asarray(betas, dtype=complex).ravel()
-    block = state.reshape(4, basis.dim)
-    displaced = np.array([block @ basis.displacement(-beta).T for beta in betas])
-    outcomes = _shot_outcomes(displaced, shots, params, basis, rng)
+    block = np.asarray(state, dtype=complex).reshape(4, basis.dim)
+    outcomes = _shot_outcomes(_displaced(block, -betas, basis), shots, params, basis, rng)
     totals = np.sum(np.where(outcomes == 0, 1, -1), axis=1)
     values = TWO_OVER_PI * totals / shots
     return WignerGrid(
@@ -185,20 +221,43 @@ def _from_coordinates(x: np.ndarray, dim: int) -> np.ndarray:
     return upper + upper.conj().T + np.diag(x[:dim])
 
 
+def _observable_blocks(betas: np.ndarray, dim: int):
+    """Rows of ``_observable_matrix``, ``_BLOCK_ROWS`` points at a time, as (rows, block) pairs.
+
+    With the quadrature i(a - a+) = V Lambda V+ and beta = r e^{i phi},
+    entry (i, j) of (2/pi) D(2 beta) Pi is e^{-i phi (j - i)} sum_l E_l W_l(i, j)
+    for E_l = e^{2 i r lambda_l} and W_l(i, j) = (2/pi) (-1)^j V_il conj(V_jl).
+    So a block is one product E W over the pairs i <= j (W times sqrt(2)
+    off the diagonal), after which each upper entry takes the phase of its lag.
+    """
+    vals, vecs = CavityBasis(dim)._quadrature_eigh
+    upper_i, upper_j = _triu(dim, 1)
+    pair_i = np.concatenate([np.arange(dim), upper_i])
+    pair_j = np.concatenate([np.arange(dim), upper_j])
+    weights = vecs[pair_i].T * vecs[pair_j].T.conj() * (TWO_OVER_PI * (1.0 - 2.0 * (pair_j % 2)))
+    weights[:, dim:] *= math.sqrt(2.0)
+    lag = upper_j - upper_i
+    for start in range(0, len(betas), _BLOCK_ROWS):
+        chunk = betas[start:start + _BLOCK_ROWS]
+        sums = np.exp(2j * np.outer(np.abs(chunk), vals)) @ weights
+        phases = np.exp(-1j * np.outer(np.angle(chunk), np.arange(dim)))
+        upper = sums[:, dim:] * phases[:, lag]
+        block = np.concatenate([sums[:, :dim].real, upper.real, upper.imag], axis=1)
+        yield slice(start, start + len(chunk)), block
+
+
 def _observable_matrix(betas: np.ndarray, dim: int) -> np.ndarray:
     """Displaced-parity observables (2/pi) D(beta) P D(beta)+ as one real (K, d*d) matrix.
 
     Row k holds the coordinates of the k-th observable, so Re Tr[O_k rho]
-    is ``(A @ _coordinates(rho))[k]``; the rows are filled one at a time.
-    The truncated a is parity-odd (P a P = -a), so P D(beta) P = D(beta)+
-    and D(beta) P D(beta)+ = D(2 beta) P exactly in the truncated space:
-    one displacement per point and no product.
+    is ``(A @ _coordinates(rho))[k]``; the rows are ``_observable_blocks``
+    in order.  The truncated a is parity-odd (P a P = -a), so
+    P D(beta) P = D(beta)+ and D(beta) P D(beta)+ = D(2 beta) P exactly in
+    the truncated space.
     """
-    basis = CavityBasis(dim)
-    signs = TWO_OVER_PI * (1.0 - 2.0 * (np.arange(dim) % 2))
     matrix = np.empty((len(betas), dim * dim))
-    for k, beta in enumerate(betas):
-        matrix[k] = _coordinates(basis.displacement(2.0 * beta) * signs)
+    for rows, block in _observable_blocks(betas, dim):
+        matrix[rows] = block
     return matrix
 
 

@@ -364,6 +364,56 @@ def test_ramsey_flat_curve_returns_inf():
     assert ramsey_t2(frozen, t_max=1e-3) == math.inf
 
 
+def sequential_ramsey_t2(params, drive=None, t_max=12e-3, sample_dt=2e-6):
+    """ramsey_t2 stepping the whole density one sample at a time, with scipy's expm."""
+    basis = CavityBasis(dim=dynamics.RAMSEY_CAVITY_DIM)
+    mode = "effective" if drive is not None else "off"
+    ham = build_hamiltonian(params, basis, mode=mode, drive=drive)
+    channels = collapse_channels(params, basis, drive_on=drive is not None)
+    step = expm(dynamics.liouvillian(ham, channels) * sample_dt)
+    p_e = params.n_th / (1.0 + params.n_th)
+    cavity = np.zeros((basis.dim, basis.dim), dtype=complex)
+    cavity[:2, :2] = 0.5
+    flat = np.kron(np.diag([1.0 - p_e, p_e, 0.0, 0.0]), cavity).ravel()
+    tracked = np.ravel_multi_index((np.arange(4), 0, np.arange(4), 1), (4, basis.dim) * 2)
+    c0 = abs(flat[tracked].sum())
+    times, values, t = [0.0], [c0], 0.0
+    while t < t_max:
+        flat = step @ flat
+        t += sample_dt
+        times.append(t)
+        values.append(abs(flat[tracked].sum()))
+        if values[-1] < 0.25 * c0:
+            break
+    if values[-1] > 0.97 * c0:
+        return math.inf
+    times, values = np.array(times), np.array(values)
+    mask = values > 1e-12
+    slope = np.polyfit(times[mask], np.log(values[mask]), 1)[0]
+    return math.inf if slope >= 0.0 else -1.0 / slope
+
+
+def test_ramsey_matches_sequential_stepping():
+    # The t2-sweep detunings, the undriven probe, a flat curve, and a span
+    # that the binary sample times reach exactly, so the last sample is at t_max.
+    params = SystemParams()
+    center = cancellation_detuning(params, "zero_chi_eg")
+    cases = [(params, DriveSpec(params.omega_sb, float(d)), 12e-3, 2e-6)
+             for d in np.linspace(0.6, 2.4, 10) * center]
+    frozen = SystemParams(chi_e=1e-30, chi_f=1e-30, chi_h=1e-30, kerr=1e-30, T1_cavity=1e3,
+                          T1_eg=1e3, T1_fe=1e3, Tphi_g=1e3, Tphi_e=1e3, Tphi_f=1e3, n_th=0.0)
+    cases += [(params, None, 12e-3, 2e-6), (frozen, None, 1e-3, 2e-6),
+              (params, None, 2.0**-11, 2.0**-20)]
+    for case_params, drive, t_max, sample_dt in cases:
+        expected = sequential_ramsey_t2(case_params, drive, t_max, sample_dt)
+        t2 = ramsey_t2(case_params, drive=drive, t_max=t_max, sample_dt=sample_dt)
+        if math.isinf(expected):
+            assert t2 == math.inf
+        else:
+            assert t2 == pytest.approx(expected, rel=1e-12)
+    assert math.isinf(sequential_ramsey_t2(frozen, None, 1e-3))
+
+
 def test_ramsey_default_parameters_in_expected_band():
     t2 = ramsey_t2(SystemParams())
     assert 500e-6 < t2 < 800e-6

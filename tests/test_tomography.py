@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from catsim import tomography
 from catsim.dynamics import trajectory_rng
-from catsim.hilbert import CavityBasis, cat_state, joint_state, state_fidelity
+from catsim.hilbert import CavityBasis, cat_state, fock_state, joint_state, state_fidelity
 from catsim.model import SystemParams
 from catsim.tomography import (
     WignerGrid,
@@ -274,11 +275,13 @@ def reference_projected_gradient(grid, dim, max_iterations=2000, tolerance=1e-8)
     return residual
 
 
-@pytest.mark.parametrize("dim", [2, 6, 20])
+@pytest.mark.parametrize("dim", [1, 2, 6, 20, 50])
 def test_observable_matrix_matches_the_complex_stack(dim):
     # A x is Re Tr[O_k rho] and 2 A^T r is the gradient 2 sum_k r_k O_k.
+    # The 21 x 21 grid spans several blocks; beta = 0 and the negative
+    # real axis are listed again on their own.
     rng = np.random.default_rng(dim)
-    betas = square_grid(5, 1.5)
+    betas = np.concatenate([square_grid(21, 2.5), [0.0, -0.7, -2.0]])
     obs = observable_stack(betas, dim)
     matrix = _observable_matrix(betas, dim)
     assert matrix.shape == (len(betas), dim * dim) and matrix.flags.c_contiguous
@@ -291,6 +294,28 @@ def test_observable_matrix_matches_the_complex_stack(dim):
     r = rng.normal(size=len(betas))
     gradient = _from_coordinates(2.0 * matrix.T @ r, dim)
     assert np.abs(gradient - 2.0 * np.einsum("k,kij->ij", r, obs)).max() <= 1e-12
+    assert _observable_matrix(np.zeros(0, dtype=complex), dim).shape == (0, dim * dim)
+
+
+@pytest.mark.filterwarnings("ignore:displacements beyond")
+@pytest.mark.parametrize("dim", [6, 20])
+def test_wigner_scan_matches_the_stacked_product(dim):
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho)
+    betas = square_grid(21, 2.5)
+    stacked = _observable_matrix(betas, dim) @ _coordinates(rho)
+    assert np.abs(wigner_scan(rho, betas).values - stacked).max() <= 1e-13
+    assert len(wigner_scan(rho, []).values) == 0
+
+
+def test_wigner_scan_rejects_non_finite_displacements():
+    vac = fock_state(0, CavityBasis(6))
+    with pytest.raises(ValueError, match="finite"):
+        wigner_scan(vac, [np.nan, 0.3, np.inf])
+    with pytest.raises(ValueError, match="finite"):
+        wigner_scan(vac, [complex(0.1, np.inf)])
 
 
 @pytest.mark.filterwarnings("ignore:displacements beyond")
@@ -437,6 +462,47 @@ def test_vacuum_contrast_with_defaults():
     rng = trajectory_rng(29, 4, 1)
     contrast = vacuum_contrast(SystemParams(), 2000, rng, basis)
     assert 0.66 < contrast < 0.80
+
+
+def test_simulate_tomography_displaces_like_the_single_point_operator(monkeypatch):
+    basis = CavityBasis(12)
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=4 * basis.dim) + 1j * rng.normal(size=4 * basis.dim)
+    psi /= np.linalg.norm(psi)
+    betas = np.concatenate([square_grid(7, 1.5), [0.0, -0.7]])  # two blocks
+    captured = []
+
+    def capture(displaced, shots, params, basis, rng):
+        captured.append(displaced)
+        return np.zeros((len(displaced), shots), dtype=int)
+
+    monkeypatch.setattr(tomography, "_shot_outcomes", capture)
+    simulate_tomography(psi, betas, QUIET, 1, None, basis)
+    block = psi.reshape(4, basis.dim)
+    expected = np.array([block @ basis.displacement(-beta).T for beta in betas])
+    assert np.abs(captured[0] - expected).max() <= 1e-13
+
+
+def test_seeded_tomography_shots_are_pinned():
+    # Shot totals of a seeded run; a change to the displaced rows beyond
+    # round-off, or to how the shots draw from rng, moves them.
+    basis = CavityBasis(20)
+    cat = joint_state("g", cat_state(ALPHA, basis))
+    betas = [0.0, 0.5, 1j * 0.555, -1.0 + 0.5j]
+    grid = simulate_tomography(cat, betas, SystemParams(), 50, trajectory_rng(17, 4, 0), basis)
+    totals = np.rint(grid.values * 50 / (2 / math.pi)).astype(int)
+    assert totals.tolist() == [42, 28, -26, 8]
+    contrast = vacuum_contrast(SystemParams(), 100, trajectory_rng(19, 4, 1), basis)
+    assert round(contrast * 100) == 84
+
+
+def test_simulate_tomography_rejects_non_finite_displacements():
+    basis = CavityBasis(8)
+    vac = joint_state("g", fock_state(0, basis))
+    with pytest.raises(ValueError, match="finite"):
+        simulate_tomography(vac, [0.0, np.nan], QUIET, 10, None, basis)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_tomography(vac, [np.inf], QUIET, 10, None, basis)
 
 
 def test_simulate_tomography_validates_shots():
