@@ -408,7 +408,9 @@ def trajectory_decay_curve(
         rho = ensemble.T @ ensemble.conj() / survivors
         theta, _ = aligned_cat_fidelity(rho, alpha, basis)
         target = np.exp(-1j * theta * phases) * reference
-        scores = np.abs(ensemble @ target.conj()) ** 2
+        # Squared overlaps of unit vectors, so at most 1; round-off can put
+        # a perfect overlap an ulp above it, which no fidelity may be.
+        scores = np.minimum(np.abs(ensemble @ target.conj()) ** 2, 1.0)
         ns.append(k + 1)
         fidelities.append(float(scores.mean()))
         stderrs.append(float(scores.std(ddof=1) / math.sqrt(survivors)))

@@ -29,8 +29,7 @@ import numpy as np
 # first trajectory call.
 from numpy.random import Generator, Philox
 
-from .hilbert import (CavityBasis, as_density, joint_index, joint_state,
-                      validate_density, validate_state)
+from .hilbert import CavityBasis, as_density, joint_index, joint_state, validate_state
 from .model import (
     DriveSpec,
     HamiltonianSpec,
@@ -257,8 +256,8 @@ def evolve_master(
     for convergence checks).  Both run a drive in its frame and return the
     lab-frame state.
     """
-    (validate_state if np.ndim(state) == 1 else validate_density)(state)
-    rho = as_density(state).astype(complex)
+    # A copy, so the caller's matrix is neither changed nor handed back.
+    rho = as_density(state).copy()
     return _master_evolution(ham, channels, duration, dt)(rho)
 
 

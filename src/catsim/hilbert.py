@@ -200,13 +200,14 @@ def cat_overlap(theta, alpha: complex = DEFAULT_ALPHA):
 
 
 def as_density(state: np.ndarray) -> np.ndarray:
-    """Promote a state vector to a density matrix; pass matrices through."""
+    """Promote a unit state vector to a density matrix; pass density matrices
+    through.  Anything else is a ValueError (``validate_state``, ``validate_density``)."""
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
+        validate_state(arr)
         return np.outer(arr, arr.conj())
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return arr
-    raise ValueError(f"state must be a vector or square matrix, got shape {arr.shape}")
+    validate_density(arr)
+    return arr
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -273,7 +274,7 @@ def validate_state(vec: np.ndarray) -> None:
     arr = np.asarray(vec)
     if arr.ndim != 1:
         raise ValueError(f"state vector must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float) if arr.dtype == complex else arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("state vector has non-finite entries")
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > STATE_ATOL:

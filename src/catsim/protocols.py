@@ -34,8 +34,6 @@ from .hilbert import (
     CavityBasis,
     cat_state,
     coherent_state,
-    joint_state,
-    lift_ancilla,
     validate_state,
 )
 from .model import (
@@ -356,8 +354,10 @@ def repeated_parity(
     seeded streams when ``trials`` is given.  The trials run as rows of
     one batch, each giving the record it gives alone, and the rounds are
     built from the batch's record arrays.  Master mode propagates the
-    full density matrix, under either drive, and returns the postselected
-    all-g ensemble.
+    density matrix, under either drive, carrying the cavity density of
+    the reported-g branch from round to round, and returns the
+    postselected all-g ensemble; it draws nothing, so it refuses ``rng``,
+    ``trials`` and ``seed``.
     """
     _check_protocol(protocol)
     _check_drive_mode(drive_mode)
@@ -372,6 +372,8 @@ def repeated_parity(
             raise ValueError("single-record mode requires an rng")
     elif mode != "master":
         raise ValueError(f"unknown mode {mode!r}")
+    elif rng is not None or trials is not None or seed is not None:
+        raise ValueError("master mode draws nothing: it takes no rng, trials or seed")
     if initial_cavity is None:
         cavity = cat_state(DEFAULT_ALPHA, basis)
     else:
@@ -422,35 +424,31 @@ def _records(params, protocol, n_rounds, basis, cavity, drive_mode, rngs):
 
 
 def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive_mode):
+    """Master mode of ``repeated_parity``: each round evolves U|g><g|U^dagger (x) sigma,
+    U the opening pulses, through the wait, the closing pulses on the ancilla
+    axes and the readout, and keeps the reported-g branch as the next sigma."""
     dim = basis.dim
     ham, channels = _map_context(params, basis, protocol, drive_mode)
-    ro_ham, ro_channels = _readout_context(params, basis)
-    confusion = np.array(params.assignment_error)
-
-    psi0 = joint_state("g", cavity)
-    rho = np.outer(psi0, psi0.conj())
-    opening = lift_ancilla(_OPENING[protocol], dim)
-    closing = lift_ancilla(_CLOSING[protocol], dim)
-
-    survival = 1.0
     wait = _master_evolution(ham, channels, map_duration(params, protocol))
-    readout = _master_evolution(ro_ham, ro_channels, params.t_ro)
+    readout = _master_evolution(*_readout_context(params, basis), params.t_ro)
+    opened = _OPENING[protocol][:, 0]
+    closing = _CLOSING[protocol]
+    # Weight of each true level in the reported-g branch: h reads as f.
+    reported_g = np.array(params.assignment_error)[[0, 1, 2, 2], 0]
+
+    sigma = np.outer(cavity, cavity.conj())
+    survival = 1.0
     for _ in range(n_rounds):
-        rho = opening @ rho @ closing
-        rho = wait(rho)
-        rho = closing @ rho @ opening
-        rho = readout(rho)
-        blocks = rho.reshape(4, dim, 4, dim)
-        # Postselect the reported-g branch: h folds into the f confusion row.
-        kept = np.zeros((dim, dim), dtype=complex)
-        for level in range(4):
-            weight = confusion[min(level, 2), 0]
-            kept += weight * blocks[level, :, level, :]
-        prob = float(np.real(np.trace(kept)))
+        rho = wait(np.kron(np.outer(opened, opened.conj()), sigma)).reshape(4, dim, 4, dim)
+        rho = np.einsum("ab,bicj,dc->aidj", closing, rho, closing.conj())
+        rho = readout(rho.reshape(4 * dim, 4 * dim)).reshape(4, dim, 4, dim)
+        sigma = np.einsum("a,aiaj->ij", reported_g, rho)
+        prob = float(np.real(np.trace(sigma)))
         survival *= prob
-        rho = np.zeros((4 * dim, 4 * dim), dtype=complex)
-        rho[:dim, :dim] = kept / prob
-    return PostselectedEnsemble(probability=survival, state=rho)
+        sigma /= prob
+    state = np.zeros((4 * dim, 4 * dim), dtype=complex)
+    state[:dim, :dim] = sigma
+    return PostselectedEnsemble(probability=survival, state=state)
 
 
 def parity_flip_probability(params: SystemParams, protocol: str, alpha: float = math.sqrt(2.0)) -> float:

@@ -24,7 +24,6 @@ from .hilbert import (
     cat_state,
     fock_state,
     joint_state,
-    validate_density,
     validate_state,
 )
 from .model import SystemParams
@@ -99,11 +98,6 @@ def wigner_scan(rho_cavity: np.ndarray, betas) -> WignerGrid:
     is finite.
     """
     betas = _finite_betas(betas)
-    rho_cavity = np.asarray(rho_cavity)
-    if rho_cavity.ndim == 1:
-        validate_state(rho_cavity)
-    else:
-        validate_density(rho_cavity)
     rho = as_density(rho_cavity)
     dim = rho.shape[0]
     # Amplitude bound inside which a truncated Wigner value is trustworthy.
@@ -410,7 +404,8 @@ def aligned_cat_fidelity(
 
     Scans 64 rotation angles on [0, pi), the period of an even cat, then
     refines the best bracket by golden-section search.  Returns
-    ``(theta_star, fidelity)``.
+    ``(theta_star, fidelity)``; raises ValueError unless the state is a
+    unit vector or a density matrix.
 
     With v = exp(-i theta n) ref, F(theta) = <v|rho|v> is the sum of
     c_k exp(i k theta), where c_k sums the entries (m, n) with m - n = k
@@ -419,7 +414,7 @@ def aligned_cat_fidelity(
     p_k = 2 c_k, a polynomial in exp(i theta): the scan is one product,
     and each golden-section step one Horner evaluation of dim terms.
     """
-    rho = as_density(np.asarray(rho_cavity, dtype=complex))
+    rho = as_density(rho_cavity)
     dim = rho.shape[0]
     if basis is None:
         basis = CavityBasis(dim)

@@ -1,8 +1,11 @@
-"""Every name a module exports exists, once; the runtime needs numpy only;
-the benchmark's tracer finds every name it wraps."""
+"""Every name a module exports exists, once; every name a module imports
+is used or exported; the runtime needs numpy only; the benchmark's tracer
+finds every name it wraps."""
 
+import ast
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -20,6 +23,29 @@ def test_all_names_exist_once(name):
     assert len(exported) == len(set(exported))
     missing = [item for item in exported if not hasattr(module, item)]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(pathlib.Path(catsim.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_imported_name_is_used_or_exported(path):
+    # No linter ships with the toolchain, so this stands in for an unused
+    # import check.
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    assert sorted(imported - used - exported) == []
 
 
 def test_cold_start_imports_no_scipy(tmp_path):

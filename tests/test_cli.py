@@ -239,6 +239,24 @@ def test_noiseless_decay_fit_is_unresolved(tmp_path):
     assert fit["flag"] == "unresolved"
 
 
+@pytest.mark.parametrize("protocol", ["ge", "gf", "ft"])
+def test_noiseless_decay_curve_is_a_valid_curve(tmp_path, protocol):
+    # A noiseless device keeps every cat perfect, and at fock dim 14 the
+    # squared overlaps of unit vectors used to round to one ulp above 1.
+    params = tmp_path / "noiseless.json"
+    params.write_text(json.dumps({
+        "T1_cavity": 1e6, "T1_eg": 1e6, "T1_fe": 1e6, "Tphi_g": 1e6, "Tphi_e": 1e6,
+        "Tphi_f": 1e6, "n_th": 0.0, "kerr": 0.0,
+        "assignment_error": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    }))
+    data = run_json(tmp_path, "nl.json", [
+        "parity-decay", "--protocol", protocol, "--fock-dim", "14", "--trajectories", "20",
+        "--n-max", "6", "--params", str(params),
+    ])["data"]
+    assert len(data["fidelity"]) == 6
+    assert all(f <= 1.0 for f in data["fidelity"])
+
+
 def test_parity_once_shows_error_transparency(tmp_path):
     gf = run_json(tmp_path, "gf.json", ["parity-once", "--protocol", "gf"])["data"]
     ft = run_json(tmp_path, "ft.json", ["parity-once", "--protocol", "ft"])["data"]

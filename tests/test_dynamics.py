@@ -179,6 +179,17 @@ def test_evolve_master_rejects_invalid_states():
         evolve_master(np.diag([np.nan, 1.0]), ham, (chan,), 1e-6)
 
 
+def test_evolve_master_neither_changes_nor_returns_the_callers_density():
+    ham, chan = two_level_ham(), decay_channel(1e4)
+    psi = np.array([0.6, 0.8j])
+    rho = np.outer(psi, psi.conj())
+    kept = rho.copy()
+    for duration in (0.0, 1e-6):
+        out = evolve_master(rho, ham, (chan,), duration)
+        assert out is not rho and not np.shares_memory(out, rho)
+        assert np.array_equal(rho, kept)
+
+
 def test_master_positivity_guard_trips_on_huge_step():
     rate = 1.0e7
     ham = two_level_ham()

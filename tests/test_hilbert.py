@@ -260,6 +260,8 @@ def test_state_fidelity_cases(basis20, even_cat, odd_cat):
 
 def test_validators_accept_and_reject(basis20, even_cat):
     validate_state(even_cat)
+    # A strided column of a complex array is a state like any other.
+    validate_state(np.stack([even_cat, even_cat], axis=1)[:, 0])
     with pytest.raises(ValueError):
         validate_state(2.0 * even_cat)
     with pytest.raises(ValueError):

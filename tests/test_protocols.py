@@ -588,6 +588,52 @@ def test_master_mode_builds_each_evolution_once(monkeypatch):
     assert 0.0 < ensemble.probability < 1.0
 
 
+def kron_lifted_master(params, protocol, n_rounds, basis, cavity, drive_mode):
+    # The round on the whole joint space: the pulses lifted with np.kron,
+    # the reported-g branch summed level by level, and the kept cavity
+    # density padded back into a joint density.
+    dim = basis.dim
+    ham, channels = protocols._map_context(params, basis, protocol, drive_mode)
+    wait = dynamics._master_evolution(ham, channels, map_duration(params, protocol))
+    readout = dynamics._master_evolution(*protocols._readout_context(params, basis), params.t_ro)
+    opening = lift_ancilla(protocols._OPENING[protocol], dim)
+    closing = lift_ancilla(protocols._CLOSING[protocol], dim)
+    confusion = np.array(params.assignment_error)
+    psi0 = joint_state("g", cavity)
+    rho = np.outer(psi0, psi0.conj())
+    survival = 1.0
+    for _ in range(n_rounds):
+        rho = readout(closing @ wait(opening @ rho @ closing) @ opening)
+        blocks = rho.reshape(4, dim, 4, dim)
+        kept = np.zeros((dim, dim), dtype=complex)
+        for level in range(4):
+            kept += confusion[min(level, 2), 0] * blocks[level, :, level, :]
+        prob = float(np.real(np.trace(kept)))
+        survival *= prob
+        rho = np.zeros((4 * dim, 4 * dim), dtype=complex)
+        rho[:dim, :dim] = kept / prob
+    return survival, rho
+
+
+@pytest.mark.parametrize("drive_mode", ["effective", "time_dependent"])
+@pytest.mark.parametrize("protocol", ["ge", "gf", "ft"])
+def test_master_round_on_the_ancilla_axes_matches_the_kron_lifted_round(protocol, drive_mode):
+    rng = np.random.default_rng(7)
+    for dim in range(4, 9):
+        basis = CavityBasis(dim)
+        cavity = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        cavity /= np.linalg.norm(cavity)
+        ensemble = repeated_parity(
+            SystemParams(), protocol, 6, basis=basis, initial_cavity=cavity,
+            mode="master", drive_mode=drive_mode,
+        )
+        survival, rho = kron_lifted_master(
+            SystemParams(), protocol, 6, basis, cavity, drive_mode
+        )
+        assert abs(ensemble.probability - survival) <= 1e-13
+        assert np.max(np.abs(ensemble.state - rho)) <= 1e-13
+
+
 def test_repeated_parity_rejects_invalid_initial_cavity(basis20, even_cat):
     with pytest.raises(ValueError, match="norm"):
         repeated_parity(QUIET, "gf", 1, trajectory_rng(1, 1, 0), basis20,
@@ -611,6 +657,8 @@ def test_repeated_parity_reports_configuration_errors_before_building_the_cat():
         (1, dict(trials=2), "seed"),
         (1, dict(), "rng"),
         (1, dict(rng=trajectory_rng(1, 1, 0)), "enlarge the Fock space"),
+        (1, dict(mode="master", trials=5, seed=1), "master mode"),
+        (1, dict(mode="master", rng=trajectory_rng(1, 1, 0)), "master mode"),
     ]
     for n_rounds, kwargs, message in cases:
         with pytest.raises(ValueError, match=message):

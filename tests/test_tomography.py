@@ -107,6 +107,11 @@ def test_scan_rejects_invalid_states():
         wigner_scan(rho + np.triu(np.ones((8, 8)), 1), [0.0])
     with pytest.raises(ValueError, match="negative eigenvalue"):
         wigner_scan(np.diag([1.5, -0.5] + [0.0] * 6).astype(complex), [0.0])
+    # The aligned fidelity checks its state the same way.
+    with pytest.raises(ValueError, match="norm"):
+        aligned_cat_fidelity(3.0 * cat, ALPHA, basis)
+    with pytest.raises(ValueError, match="non-finite"):
+        aligned_cat_fidelity(np.full(8, np.nan, dtype=complex), ALPHA, basis)
 
 
 def test_grid_values_bounded():
