@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import trajectory_rng
+from .dynamics import _row_blocks, trajectory_rng
 from .hilbert import DEFAULT_ALPHA, CavityBasis, cat_overlap, cat_state
 from .model import SystemParams, induced_chi
-from .protocols import ParityFilter, _check_drive_mode, _records, _trial_rngs, map_duration
-from .tomography import _golden_section, aligned_cat_fidelity
+from .protocols import ParityFilter, _check_drive_mode, _records, _trial_streams, map_duration
+from .tomography import _aligned, _golden_section
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,9 +81,9 @@ class DecayCurve:
         stderr = np.asarray(self.stderr, dtype=float)
         if not (len(n) == len(fidelity) == len(stderr)):
             raise ValueError("curve columns must have equal length")
-        if len(n) and np.any(np.diff(n) <= 0):
+        if len(n) and (np.diff(n) <= 0).any():
             raise ValueError("measurement counts must be strictly increasing")
-        if np.any(fidelity < 0.0) or np.any(fidelity > 1.0):
+        if (fidelity < 0.0).any() or (fidelity > 1.0).any():
             raise ValueError("fidelities must lie in [0, 1]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "fidelity", fidelity)
@@ -380,6 +380,8 @@ def trajectory_decay_curve(
     the surviving ensemble to the best rotated cat, and scores each kept
     trial against that one target.  The per-trial scores average to the
     ensemble fidelity exactly, and their scatter gives the standard error.
+    The ensembles of all rounds are aligned by one call of ``_aligned``
+    and scored by one product.
 
     Returns ``(curve, kept)`` where ``kept`` counts the surviving trials
     at each point of the curve.  Round numbers where fewer than two
@@ -393,27 +395,31 @@ def trajectory_decay_curve(
     basis = basis or CavityBasis()
     filt = ParityFilter.for_protocol(params, protocol, alpha)
     reference = cat_state(alpha, basis)
-    reported, _, cavities, _ = _records(
-        params, protocol, n_max, basis, reference, drive_mode, _trial_rngs(seed, protocol, trials)
+    reported, _, cavities = _records(
+        params, protocol, n_max, basis, reference, drive_mode,
+        _trial_streams(seed, protocol, trials),
     )
-    phases = np.arange(basis.dim)
-    ns, fidelities, stderrs, kept = [], [], [], []
+    keep = np.empty((trials, n_max), dtype=bool)
     for k in range(n_max):
         filt.update(reported[:, k])
-        keep = filt.no_flip_posterior >= POSTERIOR_THRESHOLD
-        survivors = int(keep.sum())
-        if survivors < 2:
-            continue
-        ensemble = cavities[keep, k]
-        rho = ensemble.T @ ensemble.conj() / survivors
-        theta, _ = aligned_cat_fidelity(rho, alpha, basis)
-        target = np.exp(-1j * theta * phases) * reference
-        # Squared overlaps of unit vectors, so at most 1; round-off can put
-        # a perfect overlap an ulp above it, which no fidelity may be.
-        scores = np.minimum(np.abs(ensemble @ target.conj()) ** 2, 1.0)
-        ns.append(k + 1)
-        fidelities.append(float(scores.mean()))
-        stderrs.append(float(scores.std(ddof=1) / math.sqrt(survivors)))
-        kept.append(survivors)
-    curve = DecayCurve(np.array(ns), np.array(fidelities), np.array(stderrs))
-    return curve, np.array(kept)
+        keep[:, k] = filt.no_flip_posterior >= POSTERIOR_THRESHOLD
+    kept = keep.sum(axis=0)
+    # Every round is aligned and scored; rounds with fewer than two
+    # survivors are dropped afterwards.
+    survivors = np.maximum(kept, 1)
+    rhos = np.zeros((n_max, basis.dim, basis.dim), dtype=complex)
+    for block in _row_blocks(trials):  # bounds the temporaries as _records does
+        part = cavities[block.start:block.stop]
+        weighted = part * (keep[block.start:block.stop] / survivors)[:, :, None]
+        rhos += np.matmul(weighted.transpose(1, 2, 0), part.transpose(1, 0, 2).conj())
+    theta, _ = _aligned(rhos, reference)
+    targets = np.exp(-1j * np.outer(theta, np.arange(basis.dim))) * reference
+    # Squared overlaps of unit vectors, so at most 1; round-off can put a
+    # perfect overlap an ulp above it, which no fidelity may be.
+    scores = np.minimum(np.abs(np.einsum("trn,rn->tr", cavities, targets.conj())) ** 2, 1.0)
+    means = (scores * keep).sum(axis=0) / survivors
+    spread = (((scores - means) * keep) ** 2).sum(axis=0) / np.maximum(kept - 1, 1)
+    stderrs = np.sqrt(spread) / np.sqrt(survivors)
+    rounds = np.flatnonzero(kept >= 2)
+    curve = DecayCurve(rounds + 1, means[rounds], stderrs[rounds])
+    return curve, kept[rounds]

@@ -41,6 +41,7 @@ from .model import (
 
 __all__ = [
     "JumpRecord",
+    "CounterStreams",
     "RowStreams",
     "TrajectoryResult",
     "chevron_map",
@@ -142,6 +143,96 @@ class RowStreams:
         if self._shared is not None:
             return self._shared.random(len(self._draws))
         return np.array([draw() for draw in self._draws], dtype=float)
+
+
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, SC 2011) as numpy's Philox
+# runs it.  Every constant is a np.uint64, so no word is promoted to float,
+# and every product is taken on arrays, which wrap without a warning.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32, _SHIFT32, _SHIFT11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+
+
+def _mulhilo(m, x):
+    """High and low words of the 128-bit products m * x."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    mid_a, mid_b = m_hi * x_lo, m_lo * x_hi
+    carry = ((m_lo * x_lo >> _SHIFT32) + (mid_a & _LOW32) + (mid_b & _LOW32)) >> _SHIFT32
+    return m_hi * x_hi + (mid_a >> _SHIFT32) + (mid_b >> _SHIFT32) + carry, m * x
+
+
+def _philox_uniforms(seed, keys, start, count):
+    """Draws ``start`` .. ``start + count - 1`` of the stream of each key (seed, keys[i]).
+
+    numpy's Philox steps its counter before each block of four words, so
+    draw j is word j % 4 of the block at counter j // 4 + 1, and random()
+    is (word >> 11) 2^-53.
+    """
+    c0 = (start // 4)[:, None].astype(np.uint64) + np.arange(1, count // 4 + 2, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = np.full((len(keys), 1), seed, dtype=np.uint64), keys[:, None]
+    for step in range(10):
+        if step:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), -1)
+    words = words[np.arange(len(keys))[:, None], (start % 4)[:, None] + np.arange(count)]
+    return (words >> _SHIFT11).astype(float) * 2.0**-53
+
+
+# A row's first buffer holds 32 draws, each later one twice the last, up to
+# 128: a heralding row draws about 20, a record of many rounds hundreds.
+_FIRST_FILL, _FULL_FILL = 32, 128
+
+
+class CounterStreams:
+    """The streams of ``trajectory_rng(seed, protocol_index, t)`` for trials ``t``.
+
+    Row i draws what ``trajectory_rng(seed, protocol_index,
+    trials[i]).random()`` would, from a buffer of its next draws, without
+    a Generator.  A draw that finds a row's buffer empty refills, in one
+    call of the Philox kernel, each of its rows that has used half its
+    buffer.  ``take`` gives a view whose rows advance the same buffers.
+    """
+
+    def __init__(self, seed: int, protocol_index: int, trials):
+        trials = np.asarray(trials, dtype=np.int64).reshape(-1)
+        for trial in (trials.min(initial=0), trials.max(initial=0)):
+            trajectory_rng(seed, protocol_index, int(trial))  # its ValueError for a bad key
+        self._seed = np.uint64(seed)
+        self._keys = np.uint64(int(protocol_index) << 32) | trials.astype(np.uint64)
+        # Row r holds draws _start[r] + [0, _end[r]) in _buf[r] and has used _pos[r].
+        self._start, self._pos, self._end = np.zeros((3, len(trials)), dtype=np.int64)
+        self._buf = np.empty((len(trials), _FULL_FILL))
+        self._rows = np.arange(len(trials))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def take(self, rows) -> "CounterStreams":
+        """The streams of the selected rows, in the order given."""
+        part = copy.copy(self)
+        part._rows = self._rows[rows]
+        return part
+
+    def uniforms(self) -> np.ndarray:
+        """One uniform per row."""
+        rows = self._rows
+        pos, end = self._pos[rows], self._end[rows]
+        if (pos >= end).any():
+            # Refill, from its first unused draw, each row used half or more.
+            low = rows[2 * pos >= end]
+            width = min(max(2 * int(self._end[low].max()), _FIRST_FILL), _FULL_FILL)
+            self._start[low] += self._pos[low]
+            self._pos[low], self._end[low] = 0, width
+            self._buf[low, :width] = _philox_uniforms(
+                self._seed, self._keys[low], self._start[low], width)
+            pos = self._pos[rows]
+        self._pos[rows] = pos + 1
+        return self._buf[rows, pos]
 
 
 def evolve_unitary(
@@ -350,24 +441,40 @@ def run_trajectories(
 ):
     """Stochastic trajectories of a ``(rows, d)`` stack of states from ``t0``.
 
-    ``streams`` is a ``RowStreams`` with one entry per row.  Each row
-    consumes its draws in the order ``run_trajectory`` would, so a row
-    with its own generator ends exactly as it would alone.  Returns the
-    normalized final states and, per row, the tuple of jump records timed
-    as ``t0`` plus the offset into the segment.  Without channels or
-    duration the rows evolve unitarily and draw nothing.  A generator
-    outside the block structure, or a row that is not finite or has zero
-    norm, is a ValueError.
+    ``streams`` is a ``RowStreams`` or ``CounterStreams`` with one entry
+    per row.  Each row consumes its draws in the order ``run_trajectory``
+    would, so a row with its own stream ends exactly as it would alone.
+    Returns the normalized final states and, per row, the tuple of jump
+    records timed as ``t0`` plus the offset into the segment.  Without
+    channels or duration the rows evolve unitarily and draw nothing.  A
+    generator outside the block structure, or a row that is not finite or
+    has zero norm, is a ValueError.
     """
+    log = []
+    out = _run_rows(states, ham, channels, duration, streams, t0, log)
+    return out, _jump_tuples(log, len(out))
+
+
+def _run_rows(states, ham, channels, duration, streams, t0=0.0, log=None):
+    """``run_trajectories``' states; a list ``log`` takes the jumps as in ``_trajectory_rows``."""
     states = np.asarray(states, dtype=complex)
     blocks = _blocks(ham, tuple(channels))
     norms = np.linalg.norm(states, axis=1, keepdims=True)
-    if not np.all((norms > 0.0) & (norms < math.inf)):
+    if not ((norms > 0.0) & (norms < math.inf)).all():
         raise ValueError("every row must be finite with a nonzero norm")
     psi = states / norms
     if duration == 0.0 or not channels:
-        return _evolve_rows(blocks, psi, duration, t0), [()] * len(psi)
-    return _trajectory_rows(psi, blocks, channels, duration, streams, t0)
+        return _evolve_rows(blocks, psi, duration, t0)
+    return _trajectory_rows(psi, blocks, channels, duration, streams, t0, log)
+
+
+def _jump_tuples(log, n: int) -> list:
+    """Each of ``n`` rows' ``JumpRecord``s, in the order of a log of (rows, times, labels)."""
+    jumps = [[] for _ in range(n)]
+    for rows, times, labels in log:
+        for row, time, label in zip(rows.tolist(), times.tolist(), labels):
+            jumps[row].append(JumpRecord(time=time, label=label))
+    return [tuple(row) for row in jumps]
 
 
 # Below this |s t| a 2x2 block takes sinh(s t)/s from its series, whose
@@ -384,6 +491,8 @@ class _Blocks:
     (upper[k], lower[k]) with coupling op[upper, lower] mixes by the
     exponential of its 2x2 block.  The frame turns state j by
     exp(i turn[j] t).  With no pairs this is the exact diagonal case.
+    Channel c takes amplitude j to sum_s amplitude[c, j, s] times amplitude
+    source[c, j, s].  A time t is one per row, or one for all rows.
     """
 
     freq: np.ndarray
@@ -393,6 +502,8 @@ class _Blocks:
     lower: np.ndarray
     coupling: np.ndarray
     turn: np.ndarray
+    source: np.ndarray
+    amplitude: np.ndarray
 
     def frame(self, psi, t, sign):
         """Lab-frame rows at time t into the frame (sign +1), or back (-1)."""
@@ -417,7 +528,7 @@ class _Blocks:
         f_up, f_low = self.freq[self.upper], self.freq[self.lower]
         mean, half = 0.5 * (f_up + f_low), 0.5 * (f_up - f_low)
         root = np.sqrt(half * half - self.coupling * self.coupling.conj())
-        t = t[:, None]
+        t = np.reshape(t, (-1, 1))
         grow, shrink = np.exp((mean + root) * t), np.exp((mean - root) * t)
         z2 = (root * t) ** 2
         sinhc = 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0 * (1.0 + z2 / 72.0)))
@@ -432,10 +543,15 @@ class _Blocks:
 
     def propagate(self, psi, t):
         """Rows evolved in the frame for each row's time t, without jumps."""
-        out = psi * _exp_rows(self.freq, t)
+        out = psi * np.exp(self.freq * np.reshape(t, (-1, 1)))
         if self.upper.size:
             out[:, self.upper], out[:, self.lower] = self.mix(psi, t)
         return out
+
+    def jump(self, psi, picks):
+        """psi @ L.T for the channel L of each row in ``picks``, as a gather."""
+        gathered = psi[np.arange(len(psi))[:, None, None], self.source[picks]]
+        return (gathered * self.amplitude[picks]).sum(axis=2)
 
     def weigh_pairs(self, psi, t, terms):
         """Write each pair's |amplitude|^2 after each row's time t into terms."""
@@ -482,18 +598,26 @@ def _blocks(ham: HamiltonianSpec, channels: tuple) -> _Blocks:
             raise ValueError("no frame makes the drive and every channel static")
     turn = omega * inside
     freq = -1j * (diag - turn) - 0.5 * gamma
-    for shared in (freq, gamma, products, turn):  # every caller gets the cached arrays
+    # Slot s of row j of each channel reads the s-th nonzero column of that
+    # row, or a zero; every catsim channel has one slot per row.
+    slots = max([1] + [int(np.count_nonzero(chan.operator, axis=1).max()) for chan in channels])
+    source = np.zeros((len(channels), diag.size, slots), dtype=np.intp)
+    amplitude = np.zeros(source.shape, dtype=complex)
+    for c, chan in enumerate(channels):
+        source[c] = np.argsort(chan.operator == 0.0, axis=1, kind="stable")[:, :slots]
+        amplitude[c] = np.take_along_axis(chan.operator, source[c], axis=1)
+    for shared in (freq, gamma, products, turn, source, amplitude):  # cached: read-only
         shared.flags.writeable = False
-    return _Blocks(freq, gamma, products, upper, lower, coupling, turn)
+    return _Blocks(freq, gamma, products, upper, lower, coupling, turn, source, amplitude)
 
 
 def _evolve_rows(blocks, psi, duration, t0):
     """Lab-frame rows evolved from ``t0`` for ``duration`` without jumps."""
-    inside = blocks.propagate(blocks.frame(psi, t0, 1), np.full(len(psi), float(duration)))
+    inside = blocks.propagate(blocks.frame(psi, t0, 1), float(duration))
     return blocks.frame(inside, t0 + duration, -1)
 
 
-def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
+def _trajectory_rows(psi, blocks, channels, duration, streams, t0, log=None):
     """Exact waiting-time trajectories of normalized rows, all at once.
 
     Each pass draws one threshold per live row and propagates the live
@@ -501,15 +625,16 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
     Rows whose survival stays above the threshold finish with that state,
     the rest jump at the time their survival falls to the threshold.  Rows
     evolve in the frame, entered at ``t0`` and left at the segment's end;
-    a jump there changes a row by at most a global phase.
+    a jump there changes a row by at most a global phase.  With a list
+    ``log``, a pass appends the rows that jump, their times (``t0`` plus
+    the offset) and their channels' labels.
     """
     out = np.empty_like(psi)
-    jumps = [()] * len(psi)
     live = np.arange(len(psi))
     t_done = np.zeros(len(psi))
+    remaining = duration  # shared by every row until the first jumps
     psi = blocks.frame(psi, t0, 1)
     while live.size:
-        remaining = duration - t_done
         r = streams.take(live).uniforms()
         ends = blocks.propagate(psi, remaining)
         parts = ends.view(float)  # real and imaginary parts side by side
@@ -521,36 +646,26 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0):
             np.divide(ends, np.sqrt(survival)[:, None], out=ends, where=stay[:, None])
             out[live[stay]] = blocks.frame(ends[stay], t0 + duration, -1)
         jump = ~stay
-        live, psi, t_done = live[jump], psi[jump], t_done[jump]
-        if not live.size:
+        if not jump.any():
             break
+        live, psi, t_done = live[jump], psi[jump], t_done[jump]
         weights = psi.real**2 + psi.imag**2
-        t_jump, _ = _jump_times(weights, blocks.gamma, r[jump], remaining[jump], blocks, psi)
+        t_jump, _ = _jump_times(weights, blocks.gamma, r[jump], duration - t_done, blocks, psi)
         psi = blocks.propagate(psi, t_jump)
         # Channel weights |L psi|^2 from the L+L diagonals; the chosen one
         # is the squared norm of the jumped row.
         channel_weights = (psi.real**2 + psi.imag**2) @ blocks.products.T
         total = channel_weights.sum(axis=1, keepdims=True)
-        if not np.all(total > 0.0):
+        if not (total > 0.0).all():
             raise RuntimeError("no open jump channel at threshold crossing")
         picks = _draw_index(np.cumsum(channel_weights, axis=1) / total, streams.take(live))
         norms = np.sqrt(channel_weights[np.arange(len(picks)), picks])[:, None]
         t_done = t_done + t_jump
-        # The channels picked, in order; np.unique would load numpy.ma on the
-        # first call.
-        for idx in np.flatnonzero(np.bincount(picks)):
-            rows = picks == idx
-            psi[rows] = psi[rows] @ channels[idx].operator.T / norms[rows]
-        for row, t, idx in zip(live, t0 + t_done, picks):
-            jumps[row] += (JumpRecord(time=float(t), label=channels[idx].label),)
-    return out, jumps
-
-
-def _exp_rows(rate, times):
-    """exp(rate * t) for each row's time t, one exp when all rows share t."""
-    if len(times) and np.all(times == times[0]):
-        return np.broadcast_to(np.exp(rate * times[0]), (len(times), len(rate)))
-    return np.exp(rate * times[:, None])
+        remaining = duration - t_done
+        psi = blocks.jump(psi, picks) / norms
+        if log is not None:
+            log.append((live, t0 + t_done, [channels[idx].label for idx in picks.tolist()]))
+    return out
 
 
 def _draw_index(cdf, streams):
@@ -563,40 +678,38 @@ def _jump_times(weights, gamma, r, remaining, blocks=None, psi=None):
 
     S(t) = sum w exp(-gamma t) for weights w, except that the pairs of
     ``blocks`` take their weights from the rows ``psi`` mixed to t.
-    Newton's method on g(t) = log S(t) - log r, safeguarded by the bracket
-    around the root ([0, remaining] at first): a step out of it bisects.
-    Without pairs log S is convex, so the iterates climb from t = 0 to the
-    root and the bracket never acts; with them it need not be convex.  A
-    row stops once its step falls below ``_NEWTON_RTOL`` of its time, or
-    once g is at round-off, as when r is so near 1 that round-off in g
-    moves t by more than that fraction.  Returns the times and the number
-    of iterations run.
+    Newton's method on g(t) = log S(t) - log r.  With pairs log S need not
+    be convex, and the bracket around the root ([0, remaining] at first)
+    safeguards the steps: a step out of it bisects.  Without them log S is
+    convex, so the iterates climb from t = 0 to the root unguarded.  A row
+    keeps the time at which its step falls below ``_NEWTON_RTOL`` of it,
+    g is at round-off (as when r is so near 1 that round-off in g moves t
+    by more than that fraction), or the step is NaN.  Returns the times
+    and the number of iterations run.
     """
+    pairs = blocks is not None and blocks.upper.size
     t = np.zeros(len(r))
     log_r = np.log(r)
     floor = _NEWTON_ROUNDOFF * (1.0 - log_r)
-    live = np.arange(len(r))
-    # The bracket of each live row; a zero rate makes a step out of it.
+    live = np.ones(len(r), dtype=bool)
+    # The bracket of each row; a zero rate makes a step out of it.
     lo, hi = np.zeros(len(r)), np.array(remaining, dtype=float)
     for iteration in range(1, _NEWTON_CAP + 1):
-        now = t[live]
-        terms = weights[live] * np.exp(-gamma * now[:, None])
-        if blocks is not None and blocks.upper.size:
-            blocks.weigh_pairs(psi[live], now, terms)
+        terms = weights * np.exp(-gamma * t[:, None])
+        if pairs:
+            blocks.weigh_pairs(psi, t, terms)
         survival = terms.sum(axis=1)
-        residual = np.log(survival) - log_r[live]
-        early = residual > 0.0
-        lo, hi = np.where(early, now, lo), np.where(early, hi, now)
-        new = now + residual * survival / np.maximum(terms @ gamma, 1e-300)
-        out = ~((new >= lo) & (new <= hi))
-        if out.any():
+        residual = np.log(survival) - log_r
+        new = t + residual * survival / np.maximum(terms @ gamma, 1e-300)
+        if pairs:
+            early = residual > 0.0
+            lo, hi = np.where(early, t, lo), np.where(early, hi, t)
+            out = ~((new >= lo) & (new <= hi))
             new[out] = 0.5 * (lo[out] + hi[out])
-        converged = (np.abs(new - now) <= _NEWTON_RTOL * new) | (
-            np.abs(residual) <= floor[live]
-        )
-        t[live] = new
-        live, lo, hi = live[~converged], lo[~converged], hi[~converged]
-        if not live.size:
+        stop = (np.abs(new - t) <= _NEWTON_RTOL * new) | (np.abs(residual) <= floor)
+        t = np.where(live, new, t)
+        live &= ~(stop | np.isnan(new))
+        if not live.any():
             return t, iteration
     raise RuntimeError(f"jump-time solve did not converge in {_NEWTON_CAP} iterations")
 
@@ -609,14 +722,14 @@ def trajectory_ensemble_density(
     n_traj: int,
     seed: int,
 ) -> np.ndarray:
-    """Trajectory-averaged density matrix of a unit state, with per-trial seeded streams."""
+    """Trajectory-averaged density of a unit state; trial t draws ``trajectory_rng(seed, 0, t)``."""
     validate_state(state)
     psi0 = np.asarray(state, dtype=complex)
     acc = np.zeros((psi0.size, psi0.size), dtype=complex)
     for trials in _row_blocks(n_traj):
-        streams = RowStreams([trajectory_rng(seed, 0, trial) for trial in trials])
+        streams = CounterStreams(seed, 0, trials)
         rows = np.broadcast_to(psi0, (len(trials), psi0.size))
-        states, _ = run_trajectories(rows, ham, channels, duration, streams)
+        states = _run_rows(rows, ham, channels, duration, streams)
         acc += states.T @ states.conj()
     return acc / n_traj
 
@@ -710,7 +823,7 @@ def chevron_map(
     """
     basis = CavityBasis(dim=4)
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0) or not np.all(np.isfinite(times)):
+    if (times < 0.0).any() or not np.isfinite(times).all():
         raise ValueError("sample times must be non-negative and finite")
     h_block = slice(3 * basis.dim, 4 * basis.dim)
     psi = joint_state("e", np.eye(basis.dim, dtype=complex)[1])

@@ -67,11 +67,10 @@ def _row_sequence(value) -> bool:
 
 
 def _exact_diagonal(mat: np.ndarray):
-    """Copy of the diagonal of ``mat``, or None if any off-diagonal entry is nonzero."""
-    diag = np.diagonal(mat)
-    if np.count_nonzero(mat - np.diag(diag)):
+    """Copy of the diagonal of ``mat``, or None if any off-diagonal entry is nonzero (or NaN)."""
+    if np.count_nonzero(mat[~np.eye(len(mat), dtype=bool)]):
         return None
-    return diag.copy()
+    return np.diagonal(mat).copy()
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,13 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import (
-    JumpRecord,
+    CounterStreams,
     RowStreams,
     _draw_index,
+    _jump_tuples,
     _master_evolution,
     _row_blocks,
-    run_trajectories,
-    trajectory_rng,
+    _run_rows,
 )
 from .hilbert import (
     DEFAULT_ALPHA,
@@ -216,16 +216,19 @@ def parity_map(
     validate_state(state)
     stack = np.asarray(state, dtype=complex).reshape(1, 4, basis.dim)
     streams = None if rng is None else RowStreams([rng])
-    out, jumps = _map_rows(stack, params, protocol, basis, streams, drive_mode, injected)
-    return out[0].reshape(4 * basis.dim), jumps[0]
+    log = []
+    out = _map_rows(stack, params, protocol, basis, streams, drive_mode, injected, log)
+    return out[0].reshape(4 * basis.dim), _jump_tuples(log, 1)[0]
 
 
-def _map_rows(stack, params, protocol, basis, streams, drive_mode="effective", injected=()):
+def _map_rows(stack, params, protocol, basis, streams, drive_mode="effective", injected=(),
+              log=None):
     """``parity_map`` on a (rows, 4, dim) stack; without streams the wait is unitary.
 
     Each injected error strikes every row at its fraction of the wait, and
     each span starts at its offset into the wait, where a drive's phase
-    stands.
+    stands.  A list ``log`` takes the jumps as ``dynamics._trajectory_rows``
+    logs them, timed from the wait start.
     """
     events = sorted(injected, key=lambda err: err.at)
     if any(not 0.0 <= err.at <= 1.0 for err in events):
@@ -238,23 +241,22 @@ def _map_rows(stack, params, protocol, basis, streams, drive_mode="effective", i
     # the wait.
     stack = _OPENING[protocol] @ stack
     flat = stack.reshape(len(stack), -1)
-    jumps = [()] * len(flat)
     t_done = 0.0
     for err in events + [None]:
         t_target = wait if err is None else err.at * wait
         if t_target > t_done:
-            flat, span = run_trajectories(flat, ham, channels, t_target - t_done, streams, t_done)
-            jumps = list(map(tuple.__add__, jumps, span))
+            flat = _run_rows(flat, ham, channels, t_target - t_done, streams, t_done, log)
         t_done = t_target
         if err is not None:
             flat = flat @ error_operator(err.name, basis).T
             norms = np.linalg.norm(flat, axis=1, keepdims=True)
-            if np.any(norms < 1e-12):
+            if (norms < 1e-12).any():
                 raise ValueError(f"injected error {err.name!r} annihilated the state")
             flat = flat / norms
-            record = JumpRecord(time=t_done, label=f"injected:{err.name}")
-            jumps = [row + (record,) for row in jumps]
-    return _CLOSING[protocol] @ flat.reshape(stack.shape), jumps
+            if log is not None:
+                log.append((np.arange(len(flat)), np.full(len(flat), t_done),
+                            [f"injected:{err.name}"] * len(flat)))
+    return _CLOSING[protocol] @ flat.reshape(stack.shape)
 
 
 def classify_event(outcome: str, protocol: str) -> str:
@@ -291,25 +293,25 @@ def readout_and_reset(
     validate_state(state)
     dim = basis.dim
     stack = np.asarray(state, dtype=complex).reshape(1, 4, dim)
-    out, truth, reported, jumps = _readout_rows(stack, params, basis, RowStreams([rng]))
+    log = []
+    out, truth, reported = _readout_rows(stack, params, basis, RowStreams([rng]), log)
     return MapResult(
         state=out[0].reshape(4 * dim),
         outcome=OUTCOMES[reported[0]],
         true_level=OUTCOMES[truth[0]],
-        jumps=jumps[0],
+        jumps=_jump_tuples(log, 1)[0],
     )
 
 
-def _readout_rows(stack, params, basis, streams):
+def _readout_rows(stack, params, basis, streams, log=None):
     """``readout_and_reset`` on a (rows, 4, dim) stack.
 
-    Returns the reset stack, the true and the reported level of each row
-    as indices into ``OUTCOMES``, and each row's jump records.
+    Returns the reset stack and the true and the reported level of each
+    row as indices into ``OUTCOMES``; the jumps go to ``log`` as in
+    ``_map_rows``.
     """
     ham, channels = _readout_context(params, basis)
-    flat, jumps = run_trajectories(
-        stack.reshape(len(stack), -1), ham, channels, params.t_ro, streams
-    )
+    flat = _run_rows(stack.reshape(len(stack), -1), ham, channels, params.t_ro, streams, 0.0, log)
     block = flat.reshape(stack.shape)
     pops = np.sum(np.abs(block) ** 2, axis=2)
     level = _draw_index(np.cumsum(pops, axis=1) / pops.sum(axis=1, keepdims=True), streams)
@@ -324,7 +326,7 @@ def _readout_rows(stack, params, basis, streams):
     cavity *= np.exp(2j * math.pi * frame_pull[:, None] * n * params.t_ro)
     out = np.zeros_like(block)
     out[:, 0] = cavity
-    return out, truth, reported, jumps
+    return out, truth, reported
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,46 +383,52 @@ def repeated_parity(
         validate_state(cavity)
     if mode == "master":
         return _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive_mode)
-    rngs = [rng] if trials is None else _trial_rngs(seed, protocol, trials)
-    reported, truth, cavities, jumps = _records(
-        params, protocol, n_rounds, basis, cavity, drive_mode, rngs
+    streams = RowStreams([rng]) if trials is None else _trial_streams(seed, protocol, trials)
+    log = []
+    reported, truth, cavities = _records(
+        params, protocol, n_rounds, basis, cavity, drive_mode, streams, log
     )
+    jumps = _jump_tuples(log, reported.size)
     records = [
-        [ParityRound(OUTCOMES[o], OUTCOMES[t], c, j) for o, t, c, j in zip(*row)]
-        for row in zip(reported.tolist(), truth.tolist(), cavities, zip(*jumps))
+        [ParityRound(OUTCOMES[o], OUTCOMES[t], c, jumps[row * n_rounds + k])
+         for k, (o, t, c) in enumerate(zip(*fields))]
+        for row, fields in enumerate(zip(reported.tolist(), truth.tolist(), cavities))
     ]
     return records[0] if trials is None else records
 
 
-def _trial_rngs(seed, protocol, trials):
-    """The seeded stream of each trial of a protocol's records."""
-    return [trajectory_rng(seed, PROTOCOL_INDEX[protocol], trial) for trial in range(trials)]
+def _trial_streams(seed, protocol, trials):
+    """The streams of ``trajectory_rng(seed, PROTOCOL_INDEX[protocol], t)`` for each trial t."""
+    return CounterStreams(seed, PROTOCOL_INDEX[protocol], np.arange(trials))
 
 
-def _records(params, protocol, n_rounds, basis, cavity, drive_mode, rngs):
-    """Records of ``n_rounds`` rounds from ``cavity``, one row per entry of ``rngs``.
+def _records(params, protocol, n_rounds, basis, cavity, drive_mode, streams, log=None):
+    """Records of ``n_rounds`` rounds from ``cavity``, one row per entry of ``streams``.
 
     The rows run in blocks of at most 256 and may share a generator.
     Returns the reported and the true levels as (rows, rounds) int8
-    indices into ``OUTCOMES``, the cavity after each round as a (rows,
-    rounds, dim) array, and per round every row's jumps, map then readout.
+    indices into ``OUTCOMES`` and the cavity after each round as a (rows,
+    rounds, dim) array.  A list ``log`` takes the jumps of row i in round
+    k, map then readout, as ``_map_rows`` logs them, at row i * n_rounds + k.
     """
-    reported = np.empty((len(rngs), n_rounds), dtype=np.int8)
+    reported = np.empty((len(streams), n_rounds), dtype=np.int8)
     truth = np.empty_like(reported)
-    cavities = np.empty((len(rngs), n_rounds, basis.dim), dtype=complex)
-    jumps = [[] for _ in range(n_rounds)]
-    for block in _row_blocks(len(rngs)):
+    cavities = np.empty((len(streams), n_rounds, basis.dim), dtype=complex)
+    for block in _row_blocks(len(streams)):
         part = slice(block.start, block.stop)
-        streams = RowStreams(rngs[part])
+        rows = streams.take(np.arange(block.start, block.stop))
         stack = np.zeros((len(block), 4, basis.dim), dtype=complex)
         stack[:, 0] = cavity
         for k in range(n_rounds):
-            stack, map_jumps = _map_rows(stack, params, protocol, basis, streams, drive_mode)
-            stack, *levels, readout_jumps = _readout_rows(stack, params, basis, streams)
+            round_log = None if log is None else []
+            stack = _map_rows(stack, params, protocol, basis, rows, drive_mode, (), round_log)
+            stack, *levels = _readout_rows(stack, params, basis, rows, round_log)
             truth[part, k], reported[part, k] = levels
             cavities[part, k] = stack[:, 0]
-            jumps[k] += map(tuple.__add__, map_jumps, readout_jumps)
-    return reported, truth, cavities, jumps
+            if log is not None:
+                log += [((block.start + idx) * n_rounds + k, times, labels)
+                        for idx, times, labels in round_log]
+    return reported, truth, cavities
 
 
 def _repeated_parity_master(params, protocol, n_rounds, basis, cavity, drive_mode):
@@ -504,7 +512,7 @@ class ParityFilter:
         emission = self.emission[index]
         posterior = emission * (self.belief @ self.transition.T)
         total = posterior.sum(axis=-1)
-        if np.any(total <= 0.0):
+        if (total <= 0.0).any():
             raise RuntimeError("record has zero likelihood under the filter model")
         self.belief = posterior / total[..., None]
         self.log_evidence = self.log_evidence + np.log(total)
@@ -574,8 +582,8 @@ def _herald_rows(params, basis, streams):
     live = np.arange(len(streams))
     for _ in range(HERALD_ROUNDS):
         part = streams.take(live)
-        mapped, _ = _map_rows(stack[live], params, PROBE_PROTOCOL, basis, part)
-        read, _, reported, _ = _readout_rows(mapped, params, basis, part)
+        mapped = _map_rows(stack[live], params, PROBE_PROTOCOL, basis, part)
+        read, _, reported = _readout_rows(mapped, params, basis, part)
         stack[live] = read
         failed = reported != 0
         success[live[failed]] = False
@@ -593,7 +601,8 @@ def preparation_statistics(
 ) -> PrepStats:
     """Success rate and heralded parity over independent preparation tries.
 
-    The tries run as rows of one batch, each on its own seeded stream.
+    The tries run as rows of one batch; try a draws from the stream of
+    ``trajectory_rng(seed, PREP_STREAM, a)``.
     """
     if n_attempts < 1:
         raise ValueError("n_attempts must be at least 1")
@@ -601,8 +610,7 @@ def preparation_statistics(
     successes = 0
     parity_acc = 0.0
     for block in _row_blocks(n_attempts):
-        streams = RowStreams([trajectory_rng(seed, PREP_STREAM, attempt) for attempt in block])
-        states, success = _herald_rows(params, basis, streams)
+        states, success = _herald_rows(params, basis, CounterStreams(seed, PREP_STREAM, block))
         cavities = states[success, : basis.dim]
         successes += len(cavities)
         parity_acc += float(np.sum(np.abs(cavities) ** 2 @ signs))
@@ -624,6 +632,6 @@ def _shot_outcomes(states, shots, params, basis, rng):
     for block in _row_blocks(reported.size):
         rows = np.array(block)
         streams = RowStreams([rng] * rows.size)
-        mapped, _ = _map_rows(states[rows // shots], params, PROBE_PROTOCOL, basis, streams)
+        mapped = _map_rows(states[rows // shots], params, PROBE_PROTOCOL, basis, streams)
         reported[rows] = _readout_rows(mapped, params, basis, streams)[2]
     return reported.reshape(len(states), shots)

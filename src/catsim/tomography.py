@@ -10,7 +10,6 @@ contrast measured on vacuum before reconstruction.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -400,48 +399,53 @@ def aligned_cat_fidelity(
     alpha: float = math.sqrt(2.0),
     basis: CavityBasis | None = None,
 ):
-    """Best fidelity to an even cat over phase-space rotations.
+    """Best fidelity to an even cat over phase-space rotations, ``(theta_star, fidelity)``.
 
-    Scans 64 rotation angles on [0, pi), the period of an even cat, then
-    refines the best bracket by golden-section search.  Returns
-    ``(theta_star, fidelity)``; raises ValueError unless the state is a
-    unit vector or a density matrix.
+    A one-row call of ``_aligned``; raises ValueError unless the state is
+    a unit vector or a density matrix.
+    """
+    rho = as_density(rho_cavity)
+    if basis is None:
+        basis = CavityBasis(rho.shape[0])
+    theta, fidelity = _aligned(rho[None], cat_state(alpha, basis))
+    return float(theta[0]), float(fidelity[0])
+
+
+def _aligned(rhos: np.ndarray, reference: np.ndarray):
+    """Best rotation angle and fidelity of each of a (R, dim, dim) stack of densities.
 
     With v = exp(-i theta n) ref, F(theta) = <v|rho|v> is the sum of
     c_k exp(i k theta), where c_k sums the entries (m, n) with m - n = k
     of conj(ref) rho ref; rho is Hermitian, so c_-k = conj(c_k) and
     F(theta) = Re sum_{k >= 0} p_k exp(i k theta) with p_0 = c_0 and
-    p_k = 2 c_k, a polynomial in exp(i theta): the scan is one product,
-    and each golden-section step one Horner evaluation of dim terms.
+    p_k = 2 c_k, a trigonometric polynomial.  Each F is scanned at 64
+    angles on [0, pi), the period of an even cat, then F' = 0 is solved by
+    Newton's method from the best of them, safeguarded by the bracket of
+    its two neighbours: a step out of the bracket, or one where F'' >= 0,
+    bisects.  The steps end below 1e-12.  Returns the angles modulo pi and
+    F there.
     """
-    rho = as_density(rho_cavity)
-    dim = rho.shape[0]
-    if basis is None:
-        basis = CavityBasis(dim)
-    reference = cat_state(alpha, basis)
-    weighted = reference.conj()[:, None] * rho * reference
+    dim = len(reference)
     n = np.arange(dim)
-    lag = np.subtract.outer(n, n)
-    lower = lag >= 0
-    coeffs = np.bincount(lag[lower], weighted.real[lower], dim) + 1j * np.bincount(
-        lag[lower], weighted.imag[lower], dim
-    )
-    coeffs[1:] *= 2.0
-    highest_first = coeffs[::-1].tolist()
-
-    def fidelity(theta: float) -> float:
-        z = cmath.exp(1j * theta)
-        value = 0j
-        for p in highest_first:
-            value = value * z + p
-        return value.real
-
-    thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
-    coarse = np.real(np.exp(1j * np.outer(thetas, n)) @ coeffs)
-    best = int(np.argmax(coarse))
-    span = math.pi / 64
-    lo = thetas[best] - span
-    hi = thetas[best] + span
-    theta_star, neg = _golden_section(lambda t: -fidelity(t), lo, hi)
-    theta_star = theta_star % math.pi
-    return theta_star, -neg
+    weighted = reference.conj()[:, None] * rhos * reference
+    lag = np.subtract.outer(n, n).reshape(-1, 1)
+    coeffs = weighted.reshape(len(rhos), -1) @ (lag == n).astype(float)
+    coeffs[:, 1:] *= 2.0
+    scan = np.linspace(0.0, math.pi, 64, endpoint=False)
+    theta = scan[np.argmax(np.real(np.exp(1j * np.outer(scan, n)) @ coeffs.T), axis=0)]
+    lo, hi = theta - math.pi / 64, theta + math.pi / 64
+    for _ in range(64):
+        terms = coeffs * np.exp(1j * np.outer(theta, n))
+        slope = -(terms @ n).imag
+        curve = -(terms @ (n * n)).real
+        rising = slope >= 0.0  # a flat F climbs to the bracket's upper end
+        lo, hi = np.where(rising, theta, lo), np.where(rising, hi, theta)
+        new = theta - slope / np.where(curve < 0.0, curve, -np.inf)
+        out = (curve >= 0.0) | (new < lo) | (new > hi)
+        new = np.where(out, 0.5 * (lo + hi), new)
+        settled = np.abs(new - theta) <= 1e-12
+        theta = new
+        if settled.all():
+            break
+    fidelity = np.real((coeffs * np.exp(1j * np.outer(theta, n))).sum(axis=1))
+    return theta % math.pi, fidelity

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -696,6 +697,77 @@ def test_trajectory_rng_rejects_seeds_outside_64_bits():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed .* outside"):
             trajectory_rng(seed)
+
+
+def test_counter_streams_draw_what_trajectory_rng_draws():
+    # Row i of CounterStreams(seed, protocol, trials) draws, one uniform a
+    # call, what trajectory_rng(seed, protocol, trials[i]).random() draws:
+    # over hundreds of draws, so across every four-draw block boundary
+    # and several buffer refills, with the rows drawing on ragged and
+    # reordered subsets and through views of views.  The keys at the
+    # edges of their ranges are included, and no word wraps with a warning.
+    pick = np.random.default_rng(0)
+    cases = ((0, 0, [0, 1, 2, 3]), (2**64 - 1, 2**32 - 1, [2**32 - 1, 0, 5]), (9, 3, range(7)))
+    for seed, protocol, trials in cases:
+        trials = list(trials)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            streams = dynamics.CounterStreams(seed, protocol, trials)
+            drawn = [[] for _ in trials]
+            for _ in range(1000):
+                rows = pick.permutation(len(trials))[: pick.integers(1, len(trials) + 1)]
+                part = streams.take(rows)
+                order = pick.permutation(len(rows))
+                for row, value in zip(rows[order], part.take(order).uniforms()):
+                    drawn[row].append(value)
+        assert len(streams) == len(trials)
+        for trial, values in zip(trials, drawn):
+            assert len(values) > 3 * dynamics._FULL_FILL
+            expected = trajectory_rng(seed, protocol, trial).random(len(values))
+            assert np.array_equal(values, expected)
+
+
+def test_counter_streams_refuse_what_trajectory_rng_refuses():
+    dynamics.CounterStreams(2**64 - 1, 2**32 - 1, [0, 2**32 - 1])
+    for seed, protocol, bad_trial in ((-1, 0, 0), (2**64, 0, 0), (0, 2**32, 0),
+                                      (0, -1, 0), (0, 0, 2**32), (0, 0, -1)):
+        with pytest.raises(ValueError) as expected:
+            trajectory_rng(seed, protocol, bad_trial)
+        with pytest.raises(ValueError) as refused:
+            dynamics.CounterStreams(seed, protocol, [3, bad_trial, 5])
+        assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("dim", [4, 20])
+@pytest.mark.parametrize("drive_on", [False, True])
+def test_jumps_gather_the_dense_product_bit_for_bit(dim, drive_on):
+    # Every channel collapse_channels builds maps each column to at most
+    # one row, so the gather of _Blocks.jump is psi @ L.T byte for byte.
+    params, basis = SystemParams(), CavityBasis(dim)
+    drive = DriveSpec(params.omega_sb, DRIVE_DETUNINGS[1]) if drive_on else None
+    mode = "time_dependent" if drive_on else "off"
+    ham = build_hamiltonian(params, basis, mode=mode, drive=drive)
+    channels = collapse_channels(params, basis, drive_on=drive_on)
+    blocks = dynamics._blocks(ham, channels)
+    assert blocks.source.shape == (len(channels), 4 * dim, 1)
+    picks = np.repeat(np.arange(len(channels)), 3)
+    psi = random_rows(np.random.default_rng(dim), len(picks), 4 * dim)
+    got = blocks.jump(psi, picks)
+    for row, idx in enumerate(picks):
+        assert got[row].tobytes() == (psi[row] @ channels[idx].operator.T).tobytes()
+
+
+def test_jumps_gather_operators_with_several_entries_per_row():
+    # L+L is diagonal for these operators, though a row of L reads two
+    # columns; the gather sums one slot per entry.
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    chans = (CollapseChannel("h", hadamard, 2.0), decay_channel(1.0))
+    blocks = dynamics._blocks(two_level_ham(), chans)
+    assert blocks.source.shape == (2, 2, 2)
+    psi = random_rows(np.random.default_rng(1), 4, 2)
+    picks = np.array([0, 1, 0, 1])
+    expected = np.array([p @ chans[i].operator.T for p, i in zip(psi, picks)])
+    assert np.max(np.abs(blocks.jump(psi, picks) - expected)) <= 1e-15
 
 
 def test_jump_times_run_on_the_clock_t0_starts():

@@ -7,6 +7,7 @@ import pytest
 from catsim.hilbert import CavityBasis, cat_state, joint_index, joint_state
 from catsim.model import (
     DriveSpec,
+    HamiltonianSpec,
     SystemParams,
     build_hamiltonian,
     cancellation_detuning,
@@ -268,3 +269,14 @@ def test_dephasing_pair_rate_matches_lifetimes(params):
         collapse_channels(params)[3].rate + collapse_channels(params)[4].rate
     )
     assert rate == pytest.approx(1 / 81e-6 + 1 / 17e-6, rel=1e-12)
+
+
+def test_static_diagonal_tests_only_the_off_diagonal_entries():
+    # A NaN on the diagonal is a diagonal matrix with a non-finite entry,
+    # not an off-diagonal term; a NaN off the diagonal is a coupling.
+    on = HamiltonianSpec(static=np.diag([np.nan, 0.0]).astype(complex))
+    diag = on.static_diagonal
+    assert diag is not None and np.isnan(diag[0]) and diag[1] == 0.0
+    off = np.zeros((2, 2), dtype=complex)
+    off[0, 1] = np.nan
+    assert HamiltonianSpec(static=off).static_diagonal is None

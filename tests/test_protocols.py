@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catsim import dynamics, protocols
-from catsim.dynamics import RowStreams, evolve_unitary, trajectory_rng
+from catsim.dynamics import RowStreams, _jump_tuples, evolve_unitary, trajectory_rng
 from catsim.hilbert import (
     CavityBasis,
     cat_overlap,
@@ -320,9 +320,12 @@ def test_parity_map_is_a_row_of_the_batched_map(basis20, even_cat):
     rows = 12
     stack = np.broadcast_to(psi.reshape(1, 4, 20), (rows, 4, 20))
     streams = RowStreams([trajectory_rng(6, 2, i) for i in range(rows)])
-    batch, jumps = protocols._map_rows(
-        stack, params, "ft", basis20, streams, drive_mode="time_dependent", injected=injected
+    log = []
+    batch = protocols._map_rows(
+        stack, params, "ft", basis20, streams, drive_mode="time_dependent", injected=injected,
+        log=log,
     )
+    jumps = _jump_tuples(log, rows)
     stochastic = 0
     for i in range(rows):
         alone, alone_jumps = parity_map(
@@ -495,6 +498,38 @@ def heralding_outcomes(params, basis, rng):
     return outcomes
 
 
+def test_owned_streams_give_the_records_of_generator_streams(basis20, even_cat):
+    # The streams catsim owns draw from Philox buffers, not a Generator per
+    # row; records, cavities, jumps and preparation statistics are byte
+    # for byte those of the trajectory_rng generators of the same keys.
+    params = SystemParams()
+    trials, rounds = 6, 8
+    generators = RowStreams(
+        [trajectory_rng(5, protocols.PROTOCOL_INDEX["ft"], t) for t in range(trials)]
+    )
+    runs = []
+    for streams in (protocols._trial_streams(5, "ft", trials), generators):
+        log = []
+        out = protocols._records(
+            params, "ft", rounds, basis20, even_cat, "effective", streams, log
+        )
+        runs.append((out, _jump_tuples(log, trials * rounds)))
+    (owned, owned_jumps), (plain, plain_jumps) = runs
+    for a, b in zip(owned, plain, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert owned_jumps == plain_jumps and any(owned_jumps)
+
+    attempts = 60
+    stats = preparation_statistics(params, seed=4, n_attempts=attempts, basis=basis20)
+    states, success = protocols._herald_rows(params, basis20, RowStreams(
+        [trajectory_rng(4, protocols.PREP_STREAM, a) for a in range(attempts)]
+    ))
+    signs = 1.0 - 2.0 * (np.arange(20) % 2)
+    assert stats.successes == int(success.sum()) > 0
+    parity = float(np.sum(np.abs(states[success, :20]) ** 2 @ signs)) / stats.successes
+    assert stats.mean_parity == parity
+
+
 def test_rows_sharing_a_generator_rerun_byte_identical(basis20, even_cat):
     # Two rows draw from one generator, row by row; a third has its own
     # stream.  A seeded rerun repeats every byte, and the third row ends
@@ -503,8 +538,10 @@ def test_rows_sharing_a_generator_rerun_byte_identical(basis20, even_cat):
 
     def run():
         shared = trajectory_rng(8, protocols.TOMO_STREAM, 0)
-        rngs = [shared, shared, trajectory_rng(8, 1, 5)]
-        return protocols._records(params, "gf", 10, basis20, even_cat, "effective", rngs)
+        streams = RowStreams([shared, shared, trajectory_rng(8, 1, 5)])
+        log = []
+        out = protocols._records(params, "gf", 10, basis20, even_cat, "effective", streams, log)
+        return (*out, _jump_tuples(log, 3 * 10))
 
     first, second = run(), run()
     for a, b in zip(first[:3], second[:3], strict=True):
@@ -513,13 +550,13 @@ def test_rows_sharing_a_generator_rerun_byte_identical(basis20, even_cat):
     reported, truth, cavities, jumps = first
     assert reported.shape == truth.shape == (3, 10)
     assert cavities.shape == (3, 10, 20)
-    assert [len(per_row) for per_row in jumps] == [3] * 10
+    assert len(jumps) == 3 * 10
     alone = repeated_parity(
         params, "gf", 10, rng=trajectory_rng(8, 1, 5), basis=basis20, initial_cavity=even_cat
     )
     assert [protocols.OUTCOMES[i] for i in reported[2]] == [r.outcome for r in alone]
     assert [protocols.OUTCOMES[i] for i in truth[2]] == [r.true_level for r in alone]
-    assert [per_row[2] for per_row in jumps] == [r.jumps for r in alone]
+    assert jumps[20:30] == [r.jumps for r in alone]
     assert max(np.max(np.abs(c - r.cavity)) for c, r in zip(cavities[2], alone)) <= 1e-12
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from catsim import tomography
+from catsim import analytics, protocols, tomography
 from catsim.dynamics import trajectory_rng
 from catsim.hilbert import CavityBasis, cat_state, fock_state, joint_state, state_fidelity
 from catsim.model import SystemParams
@@ -411,6 +411,20 @@ def test_aligned_fidelity_phase_invariance():
     assert t3 == pytest.approx(t1, abs=1e-6)
 
 
+def test_aligned_fidelity_of_a_flat_overlap_takes_the_upper_end_of_its_bracket():
+    # An odd cat has no overlap with the even cat at any angle, and a Fock
+    # state the same overlap at every angle; F is flat, so the angle is a
+    # convention: the upper end of the bracket around the first scan angle,
+    # pi/64, where the golden-section search this replaced also ended
+    # (catsim parity-once reports it after an injected cavity loss).
+    basis = CavityBasis(20)
+    for state, fid in ((cat_state(ALPHA, basis, "odd"), 0.0), (fock_state(2, basis), None)):
+        theta, got = aligned_cat_fidelity(state, ALPHA, basis)
+        assert theta == pytest.approx(math.pi / 64, abs=1e-9)
+        if fid is not None:
+            assert got == pytest.approx(fid, abs=1e-15)
+
+
 def per_angle_aligned_fidelity(rho, alpha, basis):
     """The per-angle reference: F(theta) = <v|rho|v> with v = exp(-i theta n) cat,
     the same 64-angle scan and 60-step golden-section refinement."""
@@ -443,6 +457,37 @@ def test_aligned_fidelity_matches_per_angle_formula():
         assert abs(fid - ref_fid) <= 1e-12
         assert abs(per_angle(theta) - ref_fid) <= 1e-12
         assert abs(theta - ref_theta) <= 1e-6
+
+
+def test_batched_alignment_matches_per_angle_formula_on_every_decay_round():
+    # The ensembles of every round of a seeded decay run, aligned at once
+    # by _aligned, against the per-angle formula one round at a time; the
+    # decay curve's points are the per-angle fidelities.
+    params, basis = SystemParams(), CavityBasis(20)
+    reference = cat_state(ALPHA, basis)
+    trials, rounds = 30, 40
+    streams = protocols._trial_streams(2, "gf", trials)
+    reported, _, cavities = protocols._records(
+        params, "gf", rounds, basis, reference, "effective", streams
+    )
+    filt = protocols.ParityFilter.for_protocol(params, "gf", ALPHA)
+    rhos = []
+    for k in range(rounds):
+        filt.update(reported[:, k])
+        ensemble = cavities[filt.no_flip_posterior >= analytics.POSTERIOR_THRESHOLD, k]
+        assert len(ensemble) >= 2
+        rhos.append(ensemble.T @ ensemble.conj() / len(ensemble))
+    theta, fidelity = tomography._aligned(np.array(rhos), reference)
+    curve, _ = analytics.trajectory_decay_curve(
+        params, "gf", rounds, trials=trials, seed=2, basis=basis
+    )
+    assert len(curve) == rounds
+    for k, rho in enumerate(rhos):
+        ref_theta, ref_fid, _ = per_angle_aligned_fidelity(rho, ALPHA, basis)
+        gap = abs(theta[k] - ref_theta)
+        assert min(gap, math.pi - gap) <= 1e-6
+        assert abs(fidelity[k] - ref_fid) <= 1e-12
+        assert abs(curve.fidelity[k] - ref_fid) <= 1e-12
 
 
 @pytest.mark.slow
