@@ -81,9 +81,9 @@ class DecayCurve:
         stderr = np.asarray(self.stderr, dtype=float)
         if not (len(n) == len(fidelity) == len(stderr)):
             raise ValueError("curve columns must have equal length")
-        if len(n) and (np.diff(n) <= 0).any():
+        if len(n) and np.any(np.diff(n) <= 0):
             raise ValueError("measurement counts must be strictly increasing")
-        if (fidelity < 0.0).any() or (fidelity > 1.0).any():
+        if np.any(fidelity < 0.0) or np.any(fidelity > 1.0):
             raise ValueError("fidelities must lie in [0, 1]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "fidelity", fidelity)

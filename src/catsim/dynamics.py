@@ -116,7 +116,20 @@ def trajectory_rng(seed: int, protocol_index: int = 0, trial_index: int = 0):
     return Generator(Philox(key=np.array([int(seed), key], dtype=np.uint64)))
 
 
-class RowStreams:
+class _Streams:
+    """Uniform draws for a stack of trajectory rows, one entry of ``_rows`` per row."""
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def take(self, rows):
+        """The streams of the selected rows, in the order given."""
+        part = copy.copy(self)
+        part._rows = self._rows[rows]
+        return part
+
+
+class RowStreams(_Streams):
     """Uniform draws for a stack of trajectory rows.
 
     Each row draws from its own generator, or rows share one.  A row takes
@@ -127,22 +140,13 @@ class RowStreams:
     def __init__(self, rngs):
         rngs = list(rngs)
         self._shared = rngs[0] if all(rng is rngs[0] for rng in rngs) else None
-        self._draws = np.array([rng.random for rng in rngs], dtype=object)
-
-    def __len__(self) -> int:
-        return len(self._draws)
-
-    def take(self, rows) -> "RowStreams":
-        """The streams of the selected rows, in the order given."""
-        part = copy.copy(self)
-        part._draws = self._draws[rows]
-        return part
+        self._rows = np.array([rng.random for rng in rngs], dtype=object)
 
     def uniforms(self) -> np.ndarray:
         """One uniform per row; a shared generator draws them in one call."""
         if self._shared is not None:
-            return self._shared.random(len(self._draws))
-        return np.array([draw() for draw in self._draws], dtype=float)
+            return self._shared.random(len(self._rows))
+        return np.array([draw() for draw in self._rows], dtype=float)
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror and Shaw, SC 2011) as numpy's Philox
@@ -172,12 +176,11 @@ def _philox_uniforms(seed, keys, start, count):
     c0 = (start // 4)[:, None].astype(np.uint64) + np.arange(1, count // 4 + 2, dtype=np.uint64)
     c1 = c2 = c3 = np.zeros_like(c0)
     k0, k1 = np.full((len(keys), 1), seed, dtype=np.uint64), keys[:, None]
-    for step in range(10):
-        if step:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+    for _ in range(10):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
     words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), -1)
     words = words[np.arange(len(keys))[:, None], (start % 4)[:, None] + np.arange(count)]
     return (words >> _SHIFT11).astype(float) * 2.0**-53
@@ -188,7 +191,7 @@ def _philox_uniforms(seed, keys, start, count):
 _FIRST_FILL, _FULL_FILL = 32, 128
 
 
-class CounterStreams:
+class CounterStreams(_Streams):
     """The streams of ``trajectory_rng(seed, protocol_index, t)`` for trials ``t``.
 
     Row i draws what ``trajectory_rng(seed, protocol_index,
@@ -208,15 +211,6 @@ class CounterStreams:
         self._start, self._pos, self._end = np.zeros((3, len(trials)), dtype=np.int64)
         self._buf = np.empty((len(trials), _FULL_FILL))
         self._rows = np.arange(len(trials))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def take(self, rows) -> "CounterStreams":
-        """The streams of the selected rows, in the order given."""
-        part = copy.copy(self)
-        part._rows = self._rows[rows]
-        return part
 
     def uniforms(self) -> np.ndarray:
         """One uniform per row."""
@@ -460,7 +454,7 @@ def _run_rows(states, ham, channels, duration, streams, t0=0.0, log=None):
     states = np.asarray(states, dtype=complex)
     blocks = _blocks(ham, tuple(channels))
     norms = np.linalg.norm(states, axis=1, keepdims=True)
-    if not ((norms > 0.0) & (norms < math.inf)).all():
+    if not np.all((norms > 0.0) & (norms < math.inf)):
         raise ValueError("every row must be finite with a nonzero norm")
     psi = states / norms
     if duration == 0.0 or not channels:
@@ -678,38 +672,40 @@ def _jump_times(weights, gamma, r, remaining, blocks=None, psi=None):
 
     S(t) = sum w exp(-gamma t) for weights w, except that the pairs of
     ``blocks`` take their weights from the rows ``psi`` mixed to t.
-    Newton's method on g(t) = log S(t) - log r.  With pairs log S need not
-    be convex, and the bracket around the root ([0, remaining] at first)
-    safeguards the steps: a step out of it bisects.  Without them log S is
-    convex, so the iterates climb from t = 0 to the root unguarded.  A row
-    keeps the time at which its step falls below ``_NEWTON_RTOL`` of it,
-    g is at round-off (as when r is so near 1 that round-off in g moves t
-    by more than that fraction), or the step is NaN.  Returns the times
-    and the number of iterations run.
+    Newton's method on g(t) = log S(t) - log r, safeguarded by the bracket
+    around the root ([0, remaining] at first): a step out of it bisects.
+    Without pairs log S is convex, so the iterates climb from t = 0 to the
+    root and the bracket never acts; with them it need not be convex.  A
+    row stops once its step falls below ``_NEWTON_RTOL`` of its time, or
+    once g is at round-off, as when r is so near 1 that round-off in g
+    moves t by more than that fraction.  Returns the times and the number
+    of iterations run.
     """
-    pairs = blocks is not None and blocks.upper.size
     t = np.zeros(len(r))
     log_r = np.log(r)
     floor = _NEWTON_ROUNDOFF * (1.0 - log_r)
-    live = np.ones(len(r), dtype=bool)
-    # The bracket of each row; a zero rate makes a step out of it.
+    live = np.arange(len(r))
+    # The bracket of each live row; a zero rate makes a step out of it.
     lo, hi = np.zeros(len(r)), np.array(remaining, dtype=float)
     for iteration in range(1, _NEWTON_CAP + 1):
-        terms = weights * np.exp(-gamma * t[:, None])
-        if pairs:
-            blocks.weigh_pairs(psi, t, terms)
+        now = t[live]
+        terms = weights[live] * np.exp(-gamma * now[:, None])
+        if blocks is not None and blocks.upper.size:
+            blocks.weigh_pairs(psi[live], now, terms)
         survival = terms.sum(axis=1)
-        residual = np.log(survival) - log_r
-        new = t + residual * survival / np.maximum(terms @ gamma, 1e-300)
-        if pairs:
-            early = residual > 0.0
-            lo, hi = np.where(early, t, lo), np.where(early, hi, t)
-            out = ~((new >= lo) & (new <= hi))
+        residual = np.log(survival) - log_r[live]
+        early = residual > 0.0
+        lo, hi = np.where(early, now, lo), np.where(early, hi, now)
+        new = now + residual * survival / np.maximum(terms @ gamma, 1e-300)
+        out = ~((new >= lo) & (new <= hi))
+        if out.any():
             new[out] = 0.5 * (lo[out] + hi[out])
-        stop = (np.abs(new - t) <= _NEWTON_RTOL * new) | (np.abs(residual) <= floor)
-        t = np.where(live, new, t)
-        live &= ~(stop | np.isnan(new))
-        if not live.any():
+        converged = (np.abs(new - now) <= _NEWTON_RTOL * new) | (
+            np.abs(residual) <= floor[live]
+        )
+        t[live] = new
+        live, lo, hi = live[~converged], lo[~converged], hi[~converged]
+        if not live.size:
             return t, iteration
     raise RuntimeError(f"jump-time solve did not converge in {_NEWTON_CAP} iterations")
 
@@ -722,7 +718,7 @@ def trajectory_ensemble_density(
     n_traj: int,
     seed: int,
 ) -> np.ndarray:
-    """Trajectory-averaged density of a unit state; trial t draws ``trajectory_rng(seed, 0, t)``."""
+    """Trajectory-averaged density of a unit state; trial t draws trajectory_rng(seed, 0, t)."""
     validate_state(state)
     psi0 = np.asarray(state, dtype=complex)
     acc = np.zeros((psi0.size, psi0.size), dtype=complex)
@@ -823,7 +819,7 @@ def chevron_map(
     """
     basis = CavityBasis(dim=4)
     times = np.asarray(times, dtype=float)
-    if (times < 0.0).any() or not np.isfinite(times).all():
+    if np.any(times < 0.0) or not np.all(np.isfinite(times)):
         raise ValueError("sample times must be non-negative and finite")
     h_block = slice(3 * basis.dim, 4 * basis.dim)
     psi = joint_state("e", np.eye(basis.dim, dtype=complex)[1])

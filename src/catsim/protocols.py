@@ -250,7 +250,7 @@ def _map_rows(stack, params, protocol, basis, streams, drive_mode="effective", i
         if err is not None:
             flat = flat @ error_operator(err.name, basis).T
             norms = np.linalg.norm(flat, axis=1, keepdims=True)
-            if (norms < 1e-12).any():
+            if np.any(norms < 1e-12):
                 raise ValueError(f"injected error {err.name!r} annihilated the state")
             flat = flat / norms
             if log is not None:

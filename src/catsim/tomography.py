@@ -428,8 +428,11 @@ def _aligned(rhos: np.ndarray, reference: np.ndarray):
     dim = len(reference)
     n = np.arange(dim)
     weighted = reference.conj()[:, None] * rhos * reference
-    lag = np.subtract.outer(n, n).reshape(-1, 1)
-    coeffs = weighted.reshape(len(rhos), -1) @ (lag == n).astype(float)
+    # The lag m - k of each lower entry, in a run of dim bins per density.
+    rows, cols = np.tril_indices(dim)
+    lag = (rows - cols + dim * np.arange(len(rhos))[:, None]).ravel()
+    lower = weighted[:, rows, cols].ravel()
+    coeffs = (np.bincount(lag, lower.real) + 1j * np.bincount(lag, lower.imag)).reshape(-1, dim)
     coeffs[:, 1:] *= 2.0
     scan = np.linspace(0.0, math.pi, 64, endpoint=False)
     theta = scan[np.argmax(np.real(np.exp(1j * np.outer(scan, n)) @ coeffs.T), axis=0)]
