@@ -134,6 +134,13 @@ def _experiment_parity_once(args, params):
         level = int(np.argmax(weights))
         conditioned = blocks[level] / np.linalg.norm(blocks[level])
         theta, aligned = aligned_cat_fidelity(conditioned, DEFAULT_ALPHA, basis)
+        # F(theta) = |sum_n u_n e^{i theta n}|^2 for u = conj(cat) psi has
+        # lag coefficients sum_n u_{n+k} conj(u_n); with none at k != 0 (an
+        # odd cat after a photon loss) F is flat, and no angle is measured.
+        u = cat.conj() * conditioned
+        lags = np.abs(np.correlate(u, u, "full"))
+        if lags.sum() - lags[basis.dim - 1] <= 1e-12:
+            theta = None
         data["injection"].append(name)
         data["at"].append(0.0 if name == "none" else at)
         for label, weight in zip(ANCILLA_LEVELS, weights):

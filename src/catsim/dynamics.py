@@ -10,16 +10,17 @@ to a global phase: one 2x2 block per pair, 1x1 blocks elsewhere, and the
 undriven and effective models are the all-1x1 case.  Every L+L is
 diagonal, so H' - (i/2) sum L+L has the same blocks.  Unitary evolution
 and the batched waiting-time trajectories (Dalibard, Castin & Molmer,
-PRL 68, 580 (1992)) are therefore exact, with jump times from a
-safeguarded Newton solve.  The master equation runs in the same frame,
-where its generator keeps N - N' of each density element (N = n + [h]);
-each sector it never mixes is exponentiated exactly at every dimension,
-and RK4 runs only at a caller's step.
+PRL 68, 580 (1992)) are therefore exact: a diagonal generator's jump
+times are drawn in closed form from its mixture of exponentials, and
+only drive-coupled pairs take a safeguarded Newton solve.  The master
+equation runs in the same frame, where its generator keeps N - N' of
+each density element (N = n + [h]); each sector it never mixes is
+exponentiated exactly at every dimension, and RK4 runs only at a
+caller's step.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -80,8 +81,9 @@ def _row_blocks(n: int):
 
 # Jump-time Newton solve: a step below this fraction of t, or a residual
 # within this many units of round-off of log r, ends a row, and no row may
-# take more than the cap.  On the ge, gf and ft rounds a row takes 4.1
-# iterations on average and at most 5.
+# take more than the cap.  Only drive-coupled pairs need the solve: on
+# ft time_dependent rounds (dim 20) a call runs 4.7 iterations on average
+# and at most 6.
 _NEWTON_RTOL = 1e-10
 _NEWTON_ROUNDOFF = 32.0 * np.finfo(float).eps
 _NEWTON_CAP = 60
@@ -124,8 +126,8 @@ class _Streams:
 
     def take(self, rows):
         """The streams of the selected rows, in the order given."""
-        part = copy.copy(self)
-        part._rows = self._rows[rows]
+        part = object.__new__(type(self))
+        part.__dict__.update(self.__dict__, _rows=self._rows[rows])
         return part
 
 
@@ -616,8 +618,9 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0, log=None):
 
     Each pass draws one threshold per live row and propagates the live
     rows to the segment's end; a row's survival is its squared norm there.
-    Rows whose survival stays above the threshold finish with that state,
-    the rest jump at the time their survival falls to the threshold.  Rows
+    Rows whose survival stays above the threshold finish with that state;
+    the rest jump, at a time drawn from the threshold by composition on a
+    diagonal generator and where their survival falls to it otherwise.  Rows
     evolve in the frame, entered at ``t0`` and left at the segment's end;
     a jump there changes a row by at most a global phase.  With a list
     ``log``, a pass appends the rows that jump, their times (``t0`` plus
@@ -644,7 +647,10 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0, log=None):
             break
         live, psi, t_done = live[jump], psi[jump], t_done[jump]
         weights = psi.real**2 + psi.imag**2
-        t_jump, _ = _jump_times(weights, blocks.gamma, r[jump], duration - t_done, blocks, psi)
+        if blocks.upper.size:
+            t_jump, _ = _jump_times(weights, blocks.gamma, r[jump], duration - t_done, blocks, psi)
+        else:
+            t_jump = _composition_times(weights, blocks.gamma, r[jump], duration - t_done)
         psi = blocks.propagate(psi, t_jump)
         # Channel weights |L psi|^2 from the L+L diagonals; the chosen one
         # is the squared norm of the jumped row.
@@ -665,6 +671,32 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0, log=None):
 def _draw_index(cdf, streams):
     """Index each row's next uniform selects from its cumulative distribution."""
     return np.minimum(np.sum(cdf <= streams.uniforms()[:, None], axis=1), cdf.shape[1] - 1)
+
+
+def _composition_times(weights, gamma, r, remaining):
+    """Jump times of rows that jump, drawn by composition from their thresholds r.
+
+    With no pairs S(t) = sum w exp(-gamma t), and 1 - S(t) sums the masses
+    w (1 - exp(-gamma t)).  v = 1 - r picks the component whose running
+    sum of masses over each row's ``remaining`` T first exceeds it, and t
+    is where that component's own mass reaches what v leaves (Devroye,
+    Non-Uniform Random Variate Generation (1986), II.4): the law of the
+    waiting time, though not S(t) = r.  A v at or past the last sum, by
+    round-off, is taken just below it, so it picks the last component
+    with mass; a row with none is a RuntimeError.
+    """
+    exponents = np.reshape(remaining, (-1, 1)) * gamma  # gamma T
+    mass = -weights * np.expm1(-exponents)
+    sums = np.zeros((len(r), mass.shape[1] + 1))  # C_0 = 0, C_1, ...
+    np.cumsum(mass, axis=1, out=sums[:, 1:])
+    if not (sums[:, -1] > 0.0).all():
+        raise RuntimeError("no open jump channel at threshold crossing")
+    v = np.minimum(1.0 - r, np.nextafter(sums[:, -1], 0.0))
+    j = np.sum(sums[:, 1:] <= v[:, None], axis=1)
+    rows = np.arange(len(r))
+    fraction = np.minimum((v - sums[rows, j]) / weights[rows, j], -np.expm1(-exponents[rows, j]))
+    with np.errstate(divide="ignore"):  # the fraction is 1 where exp(-gamma T) underflows
+        return np.minimum(-np.log1p(-fraction) / gamma[j], remaining)
 
 
 def _jump_times(weights, gamma, r, remaining, blocks=None, psi=None):

@@ -278,6 +278,23 @@ def test_parity_once_ge_roster(tmp_path):
     assert ge["fidelity"][k] < 0.01
 
 
+def test_parity_once_reports_no_angle_for_a_flat_overlap(tmp_path):
+    # After an injected cavity loss the branch is an odd cat, with no
+    # overlap with the even cat at any angle, so no rotation is measured;
+    # every other branch keeps its aligned angle.
+    for protocol in ("gf", "ge"):
+        argv = ["parity-once", "--protocol", protocol]
+        data = run_json(tmp_path, f"{protocol}.json", argv)["data"]
+        for name, theta, aligned in zip(
+            data["injection"], data["aligned_theta"], data["aligned_fidelity"]
+        ):
+            if name == "cavity_loss":
+                assert theta is None
+                assert aligned == pytest.approx(0.0, abs=1e-12)
+            else:
+                assert 0.0 <= theta < math.pi
+
+
 def test_wigner_grid_dump(tmp_path):
     data = run_json(tmp_path, "wig.json", ["wigner"])["data"]
     assert len(data["value"]) == 441

@@ -296,6 +296,102 @@ def test_jump_time_solve_stops_when_the_root_is_near_zero():
     assert np.max(np.abs(survival - r)) <= 1e-14
 
 
+def stiff_mixture(rng, components, populated):
+    """Unit weights on ``populated`` of ``components`` rates, one of them zero."""
+    gamma = 10.0 ** rng.uniform(2, 6.5, components)
+    gamma[rng.integers(components)] = 0.0
+    weights = np.zeros(components)
+    slots = rng.choice(components, populated, replace=False)
+    weights[slots] = rng.random(populated) ** 2
+    return weights / weights.sum(), gamma
+
+
+def test_composition_times_have_the_waiting_time_law():
+    # Thresholds on a stratified grid over (S(T), 1) give times whose
+    # empirical CDF is (1 - S(t)) / (1 - S(T)).  The times at or below t
+    # take v = 1 - r from one interval per populated component, and a grid
+    # of spacing (1 - S(T)) / n counts each interval's length to within
+    # one point, so the bound is (populated components) / n.
+    rng = np.random.default_rng(20)
+    n = 20_000
+    for populated in (1, 2, 5, 12):
+        weights, gamma = stiff_mixture(rng, 40, populated)
+        end = 10.0 ** rng.uniform(-6.5, -4.5)
+        at_end = float(weights @ np.exp(-gamma * end))
+        r = at_end + (1.0 - at_end) * (np.arange(n) + 0.5) / n
+        times = np.sort(dynamics._composition_times(
+            np.tile(weights, (n, 1)), gamma, r, np.full(n, end)))
+        assert times[0] >= 0.0 and times[-1] <= end
+        law = (1.0 - np.exp(-np.outer(times, gamma)) @ weights) / (1.0 - at_end)
+        below = np.arange(n) / n  # the empirical CDF just before each time
+        bound = np.count_nonzero(weights * gamma) / n + 1e-9
+        assert np.max(np.abs(law - below)) <= bound
+        assert np.max(np.abs(law - below - 1.0 / n)) <= bound
+
+
+def test_composition_time_of_one_rate_is_the_root():
+    rng = np.random.default_rng(21)
+    rows = 500
+    weights = np.zeros((rows, 8))
+    weights[np.arange(rows), rng.integers(8, size=rows)] = 1.0
+    gamma = 10.0 ** rng.uniform(2, 6.5, 8)
+    end = 10.0 ** rng.uniform(-7, -4, rows)
+    at_end = np.sum(weights * np.exp(-gamma * end[:, None]), axis=1)
+    r = at_end + (1.0 - at_end) * rng.uniform(1e-6, 1.0 - 1e-6, rows)
+    times = dynamics._composition_times(weights, gamma, r, end)
+    roots, _ = dynamics._jump_times(weights, gamma, r, end)
+    assert np.max(np.abs(times - roots) / roots) <= 1e-12
+
+
+def test_composition_times_never_pick_a_rate_of_zero():
+    # Zero rates carry most of the weight and sit at both ends, where a v
+    # at 0 or past the last running sum (r at S(T) or a rounding below it)
+    # would land on them; every time stays finite and within [0, T].
+    gamma = np.array([0.0, 3e3, 0.0, 4e5, 0.0, 0.0])
+    weights = np.array([0.3, 0.05, 0.2, 0.05, 0.2, 0.2])
+    end = 2e-5
+    at_end = float(weights @ np.exp(-gamma * end))
+    r = np.array([1.0, np.nextafter(1.0, 0.0), 0.5 * (1.0 + at_end), at_end,
+                  np.nextafter(at_end, 0.0), at_end - 1e-15])
+    times = dynamics._composition_times(np.tile(weights, (len(r), 1)), gamma, r,
+                                        np.full(len(r), end))
+    assert np.all(np.isfinite(times))
+    assert np.all((times >= 0.0) & (times <= end))
+    assert times[0] == 0.0
+    assert times[3:].tolist() == pytest.approx([end] * 3, rel=1e-12)
+
+
+def test_composition_times_lie_in_the_segment():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        weights, gamma = stiff_mixture(rng, 40, rng.integers(1, 40))
+        rows = 200
+        end = 10.0 ** rng.uniform(-8, -3, rows)
+        at_end = np.exp(-np.outer(end, gamma)) @ weights
+        r = at_end + (1.0 - at_end) * rng.random(rows)
+        times = dynamics._composition_times(np.tile(weights, (rows, 1)), gamma, r, end)
+        assert np.all((times >= 0.0) & (times <= end))
+
+
+def test_composition_times_need_an_open_channel():
+    weights = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+    gamma = np.array([0.0, 0.0, 1e4])
+    with pytest.raises(RuntimeError, match="no open jump channel"):
+        dynamics._composition_times(weights, gamma, np.array([0.9, 0.9]), np.full(2, 1e-5))
+
+
+def test_diagonal_generators_draw_jump_times_without_a_root_solve(monkeypatch, basis20):
+    # The undriven and effective waits, and every readout, are diagonal;
+    # only the real drive's coupled pairs need the Newton solve.
+    def refuse(*args, **kwargs):
+        raise AssertionError("root solve on a diagonal generator")
+
+    monkeypatch.setattr(dynamics, "_jump_times", refuse)
+    for protocol in ("ge", "gf", "ft"):
+        records = repeated_parity(SystemParams(), protocol, 3, basis=basis20, trials=8, seed=1)
+        assert any(rnd.jumps for record in records for rnd in record)
+
+
 def test_batched_rows_match_single_rows():
     # A row of a batch with its own stream ends exactly as it does alone,
     # whether its neighbours jump or not, and a generator shared by rows
