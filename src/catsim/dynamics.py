@@ -15,8 +15,7 @@ times are drawn in closed form from its mixture of exponentials, and
 only drive-coupled pairs take a safeguarded Newton solve.  The master
 equation runs in the same frame, where its generator keeps N - N' of
 each density element (N = n + [h]); each sector it never mixes is
-exponentiated exactly at every dimension, and RK4 runs only at a
-caller's step.
+exponentiated exactly at every dimension.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ __all__ = [
     "trajectory_ensemble_density",
     "trajectory_rng",
 ]
-
-POSITIVITY_FLOOR = -1e-5
 
 # Fock dimension of the Ramsey probe: the 0-1 superposition.  No process
 # of the probe raises the photon number, so it needs no headroom.
@@ -231,6 +228,12 @@ class CounterStreams(_Streams):
         return self._buf[rows, pos]
 
 
+def _check_duration(duration) -> None:
+    """ValueError unless ``duration`` is non-negative and finite."""
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be non-negative and finite, got {duration}")
+
+
 def evolve_unitary(
     state: np.ndarray,
     ham: HamiltonianSpec,
@@ -244,6 +247,7 @@ def evolve_unitary(
     be a unit vector.
     """
     validate_state(state)
+    _check_duration(duration)
     psi = np.asarray(state, dtype=complex)
     if duration == 0.0:
         return psi.copy()
@@ -290,6 +294,7 @@ def master_propagator(ham: HamiltonianSpec, channels, duration: float) -> list:
 
     The indices pick the sector's elements of the row-major density.
     """
+    _check_duration(duration)
     heff = _blocks(ham, tuple(channels)).generator()
     return [(idx, _expm(gen * duration)) for idx, gen in _sectors(heff, channels)]
 
@@ -329,86 +334,40 @@ def _expm(mat: np.ndarray) -> np.ndarray:
     return result
 
 
-def evolve_master(
-    state: np.ndarray,
-    ham: HamiltonianSpec,
-    channels,
-    duration: float,
-    dt: float | None = None,
-) -> np.ndarray:
+def evolve_master(state: np.ndarray, ham: HamiltonianSpec, channels, duration: float) -> np.ndarray:
     """Evolve a unit state vector or a density matrix under the Lindblad equation.
 
     Exact by the sector exponentials of ``master_propagator`` at every
-    dimension; passing ``dt`` runs RK4 with that step instead (a reference
-    for convergence checks).  Both run a drive in its frame and return the
-    lab-frame state.
+    dimension, with a drive run in its frame; returns the lab-frame state.
+    A negative or non-finite duration is a ValueError.
     """
     # A copy, so the caller's matrix is neither changed nor handed back.
     rho = as_density(state).copy()
-    return _master_evolution(ham, channels, duration, dt)(rho)
+    return _master_evolution(ham, channels, duration)(rho)
 
 
-def _master_evolution(ham: HamiltonianSpec, channels, duration: float, dt=None):
+def _master_evolution(ham: HamiltonianSpec, channels, duration: float):
     """The map taking a density matrix through ``duration``, built once.
 
-    The map applies the sector propagators, or steps RK4 at a given ``dt``,
-    as ``evolve_master`` says; apply it to as many densities as needed.
+    It applies the sector propagators and leaves the frame; apply it to
+    as many densities as needed.
     """
     if duration == 0.0:
         return lambda rho: rho
     blocks = _blocks(ham, tuple(channels))
-    if dt is None:
-        props = master_propagator(ham, channels, duration)
+    props = master_propagator(ham, channels, duration)
 
-        def evolve(rho):
-            out, vec = np.empty_like(rho), rho.reshape(-1)
-            for idx, prop in props:
-                out.flat[idx] = prop @ vec[idx]
-            out = 0.5 * (out + out.conj().T)
-            return out / np.real(np.trace(out))
+    def evolve(rho):
+        out, vec = np.empty_like(rho), rho.reshape(-1)
+        for idx, prop in props:
+            out.flat[idx] = prop @ vec[idx]
+        out = 0.5 * (out + out.conj().T)
+        return out / np.real(np.trace(out))
 
-    else:
-        evolve = _master_rk4(blocks.generator(), channels, duration, dt)
     if not blocks.turn.any():
         return evolve
     leave = np.exp(-1j * duration * blocks.turn)
     return lambda rho: leave[:, None] * evolve(rho) * leave.conj()
-
-
-def _master_rk4(heff, channels, duration, dt):
-    """RK4 stepping of the Lindblad equation under the static H_eff ``heff``, as a map."""
-    ops = [(chan.operator, chan.operator.conj().T) for chan in channels]
-
-    def rhs(mat):
-        half = heff @ mat  # rho H_eff+ is half+ for a Hermitian rho
-        out = -1j * (half - half.conj().T)
-        for op, dag in ops:
-            out += op @ mat @ dag
-        return out
-
-    steps = max(1, int(math.ceil(duration / dt)))
-    dt = duration / steps
-    check_every = max(1, steps // 10)
-
-    def apply(rho):
-        for k in range(steps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-            rho /= np.real(np.trace(rho))
-            if (k + 1) % check_every == 0 or k == steps - 1:
-                eigmin = float(np.linalg.eigvalsh(rho)[0])
-                if eigmin < POSITIVITY_FLOOR:
-                    raise RuntimeError(
-                        f"density matrix lost positivity (min eigenvalue {eigmin:.2e}); "
-                        "reduce the integration step"
-                    )
-        return rho
-
-    return apply
 
 
 def run_trajectory(
@@ -443,8 +402,8 @@ def run_trajectories(
     Returns the normalized final states and, per row, the tuple of jump
     records timed as ``t0`` plus the offset into the segment.  Without
     channels or duration the rows evolve unitarily and draw nothing.  A
-    generator outside the block structure, or a row that is not finite or
-    has zero norm, is a ValueError.
+    generator outside the block structure, a row that is not finite or
+    has zero norm, or a negative or non-finite duration is a ValueError.
     """
     log = []
     out = _run_rows(states, ham, channels, duration, streams, t0, log)
@@ -453,6 +412,7 @@ def run_trajectories(
 
 def _run_rows(states, ham, channels, duration, streams, t0=0.0, log=None):
     """``run_trajectories``' states; a list ``log`` takes the jumps as in ``_trajectory_rows``."""
+    _check_duration(duration)
     states = np.asarray(states, dtype=complex)
     blocks = _blocks(ham, tuple(channels))
     norms = np.linalg.norm(states, axis=1, keepdims=True)
@@ -566,11 +526,13 @@ def _blocks(ham: HamiltonianSpec, channels: tuple) -> _Blocks:
     each state a channel links to S where it also links two states of S
     (the whole h level for the sideband, as cavity loss reaches the
     undriven |h, dim-1>).  A channel left turning by more than a global
-    phase is a ValueError, as is a non-finite matrix entry.
+    phase is a ValueError, as is a non-finite matrix entry or drive
+    frequency.
     """
-    mats = (ham.static, *(op for op, _ in ham.periodic), *(chan.operator for chan in channels))
+    mats = (ham.static, *(x for term in ham.periodic for x in term),  # operators and frequencies
+            *(chan.operator for chan in channels))
     if not all(np.isfinite(mat).all() for mat in mats):
-        raise ValueError("non-finite entry in the Hamiltonian or a channel operator")
+        raise ValueError("non-finite entry or drive frequency in the Hamiltonian or a channel")
     diag = ham.static_diagonal
     if diag is None:
         raise ValueError("exact evolution needs a diagonal static Hamiltonian")

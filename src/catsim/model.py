@@ -155,6 +155,8 @@ class DriveSpec:
     detuning: float
 
     def __post_init__(self):
+        if not (_finite_number(self.omega) and _finite_number(self.detuning)):
+            raise ValueError("drive amplitude and detuning must be finite numbers")
         if self.omega <= 0:
             raise ValueError("drive amplitude must be positive")
 

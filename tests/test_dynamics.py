@@ -36,6 +36,7 @@ from catsim.dynamics import (
     trajectory_rng,
 )
 from catsim.protocols import repeated_parity
+from oracles import rk4_lindblad, rk4_unitary
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,26 +126,14 @@ def test_master_exact_single_channel_decay():
     assert abs(rho[0, 1]) == pytest.approx(0.5 * math.exp(-0.5 * rate * t), abs=1e-10)
 
 
-def test_master_rk4_matches_superoperator():
-    # Undriven, and with the real drive, which both paths run in its frame.
-    params = SystemParams()
-    basis = CavityBasis(dim=6)
-    undriven = (build_hamiltonian(params, basis), collapse_channels(params, basis))
-    psi = joint_state("e", cat_state(1.1, basis))
-    for ham, channels in (undriven, driven(6, DRIVE_DETUNINGS[1])):
-        exact = evolve_master(psi, ham, channels, 2e-6)
-        stepped = evolve_master(psi, ham, channels, 2e-6, dt=1e-9)
-        assert np.max(np.abs(exact - stepped)) < 1e-7
-
-
 def test_master_step_doubling_converges():
     params = SystemParams()
     basis = CavityBasis(dim=6)
     ham = build_hamiltonian(params, basis)
     channels = collapse_channels(params, basis)
     psi = joint_state("e", cat_state(1.1, basis))
-    coarse = evolve_master(psi, ham, channels, 2e-6, dt=4e-9)
-    fine = evolve_master(psi, ham, channels, 2e-6, dt=2e-9)
+    coarse = rk4_lindblad(psi, ham, channels, 2e-6, 4e-9)
+    fine = rk4_lindblad(psi, ham, channels, 2e-6, 2e-9)
     exact = evolve_master(psi, ham, channels, 2e-6)
     err_coarse = np.max(np.abs(coarse - exact))
     err_fine = np.max(np.abs(fine - exact))
@@ -180,6 +169,26 @@ def test_evolve_master_rejects_invalid_states():
         evolve_master(np.diag([np.nan, 1.0]), ham, (chan,), 1e-6)
 
 
+@pytest.mark.parametrize("duration", [-1e-6, math.nan, math.inf])
+def test_engine_entry_points_refuse_bad_durations(duration):
+    # A negative duration would run the dissipator backwards; NaN gave NaN
+    # states and inf an OverflowError.
+    ham, chan = two_level_ham(), decay_channel(1e4)
+    psi = np.array([0.6, 0.8j])
+    streams = dynamics.RowStreams([trajectory_rng(0)])
+    calls = (
+        lambda: evolve_unitary(psi, ham, duration),
+        lambda: evolve_master(psi, ham, (chan,), duration),
+        lambda: dynamics.master_propagator(ham, (chan,), duration),
+        lambda: run_trajectory(psi, ham, (chan,), duration, trajectory_rng(0)),
+        lambda: dynamics.run_trajectories(psi[None], ham, (chan,), duration, streams),
+        lambda: trajectory_ensemble_density(psi, ham, (chan,), duration, 4, seed=0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="duration must be non-negative and finite"):
+            call()
+
+
 def test_evolve_master_neither_changes_nor_returns_the_callers_density():
     ham, chan = two_level_ham(), decay_channel(1e4)
     psi = np.array([0.6, 0.8j])
@@ -189,15 +198,6 @@ def test_evolve_master_neither_changes_nor_returns_the_callers_density():
         out = evolve_master(rho, ham, (chan,), duration)
         assert out is not rho and not np.shares_memory(out, rho)
         assert np.array_equal(rho, kept)
-
-
-def test_master_positivity_guard_trips_on_huge_step():
-    rate = 1.0e7
-    ham = two_level_ham()
-    chan = decay_channel(rate)
-    excited = np.array([0.0, 1.0], dtype=complex)
-    with pytest.raises(RuntimeError, match="positivity"):
-        evolve_master(excited, ham, (chan,), 1e-5, dt=5e-6)
 
 
 def test_trajectory_without_channels_is_unitary():
@@ -726,13 +726,14 @@ def test_sector_propagator_matches_the_dense_exponential_on_small_generators(dat
 
 
 def test_sectors_match_forced_step_rk4_at_dim_20():
-    # No dense superoperator fits at joint dim 80; RK4 at a forced step is
-    # the oracle, its error falling 16-fold per halving of the step.
+    # No dense superoperator fits at joint dim 80; lab-frame RK4 at a
+    # forced step is the oracle, its error falling 16-fold per halving of
+    # the step.
     ham, channels = mode_generator(20, "time_dependent")
     psi = joint_state("e", coherent_state(1.5, CavityBasis(20)))
     exact = evolve_master(psi, ham, channels, 0.1e-6)
     errors = [
-        np.max(np.abs(evolve_master(psi, ham, channels, 0.1e-6, dt=dt) - exact))
+        np.max(np.abs(rk4_lindblad(psi, ham, channels, 0.1e-6, dt) - exact))
         for dt in (2e-9, 1e-9)
     ]
     assert errors[1] < 1e-8
@@ -741,12 +742,13 @@ def test_sectors_match_forced_step_rk4_at_dim_20():
 
 def test_non_finite_generators_are_refused():
     psi = np.array([0.6, 0.8j])
-    pair = np.zeros((2, 2), dtype=complex)
-    pair[0, 1] = np.nan
+    pair, coupled = np.zeros((2, 2, 2), dtype=complex)
+    pair[0, 1], coupled[0, 1] = np.nan, 1e6
     inf_channel = CollapseChannel("c", np.array([[0.0, np.inf], [0.0, 0.0]], dtype=complex), 1.0)
     cases = (
         (two_level_ham(np.diag([np.nan, 0.0]).astype(complex)), ()),
         (two_level_ham(periodic=((pair, 1e6),)), ()),
+        (two_level_ham(periodic=((coupled, np.nan),)), ()),
         (two_level_ham(), (inf_channel,)),
     )
     for ham, channels in cases:
@@ -757,6 +759,11 @@ def test_non_finite_generators_are_refused():
         if not channels:
             with pytest.raises(ValueError, match="non-finite"):
                 evolve_unitary(psi, ham, 1e-6)
+    # The experiments build their drives through DriveSpec, which refuses them.
+    with pytest.raises(ValueError, match="finite numbers"):
+        chevron_map(SystemParams(), [math.nan], [0.0, 1e-7])
+    with pytest.raises(ValueError, match="finite numbers"):
+        measured_stark_shift(SystemParams(), DriveSpec(1.7e6, math.nan))
 
 
 def test_trajectory_rng_streams():
@@ -965,7 +972,7 @@ def test_measured_stark_shift_rejects_vacuum():
 # P the projector onto the states op takes from, where the generator is
 # H' = H_static - 2 pi f P + op + op+.  The references below build that
 # matrix densely and exponentiate it with scipy, or step the lab-frame
-# Schroedinger equation with RK4.
+# Schroedinger or Lindblad equation with the RK4 of ``oracles``.
 
 DRIVE_DETUNINGS = (0.0, cancellation_detuning(SystemParams(), "zero_chi_fe"), 3.0e6)
 
@@ -991,45 +998,6 @@ def frame_generator(ham, channels=()):
 def random_rows(rng, rows, size):
     psi = rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
-def rk4_lab(rhs, y, t, duration, steps):
-    """Classic RK4 of y' = rhs(y, t) from t through ``duration`` in equal steps."""
-    dt = duration / steps
-    for _ in range(steps):
-        k1 = rhs(y, t)
-        k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(y + dt * k3, t + dt)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-    return y
-
-
-def rk4_unitary(psi, ham, duration, t0):
-    """Lab-frame RK4 of i psi' = H(t) psi, 50 steps per period of the fastest rate."""
-    scale = float(np.max(np.abs(ham.static)))
-    for op, freq in ham.periodic:
-        scale += 2.0 * float(np.max(np.sum(np.abs(op), axis=1))) + TWO_PI * abs(freq)
-    dt = min(duration / 10.0, 1.0 / (50.0 * scale / TWO_PI))
-    steps = max(1, math.ceil(duration / dt))
-    psi = rk4_lab(lambda vec, t: -1j * (ham.matrix(t) @ vec), psi, t0, duration, steps)
-    return psi / np.linalg.norm(psi)
-
-
-def rk4_lindblad(psi, ham, channels, duration, dt):
-    """Lab-frame RK4 of the Lindblad equation with H(t) = ham.matrix(t), from t = 0."""
-    ops = [chan.operator for chan in channels]
-    pairs = [(op, op.conj().T, op.conj().T @ op) for op in ops]
-
-    def rhs(rho, t):
-        h = ham.matrix(t)
-        out = -1j * (h @ rho - rho @ h)
-        for op, dag, ldl in pairs:
-            out += op @ rho @ dag - 0.5 * (ldl @ rho + rho @ ldl)
-        return out
-
-    return rk4_lab(rhs, np.outer(psi, psi.conj()), 0.0, duration, round(duration / dt))
 
 
 @pytest.mark.parametrize("delta", DRIVE_DETUNINGS)
@@ -1168,12 +1136,20 @@ def cat_case():
     return np.kron(anc, cat_state(1.0, CavityBasis(dim=6))), ham, channels, 1e-8
 
 
-@pytest.mark.parametrize("case", [cat_case, edge_case])
+def undriven_case():
+    params = SystemParams()
+    basis = CavityBasis(dim=6)
+    psi = joint_state("e", cat_state(1.1, basis))
+    return psi, build_hamiltonian(params, basis), collapse_channels(params, basis), 1e-7
+
+
+@pytest.mark.parametrize("case", [cat_case, edge_case, undriven_case])
 def test_driven_master_matches_lab_frame_lindblad(case):
-    # The frame's derivation is not shared: the reference steps the
-    # lab-frame H(t) at 1 ns.  The edge case fails by 3e-2 if the frame
-    # turns only the drive's source states, which leaves cavity loss
-    # time-dependent at |h, dim-1>.
+    # Neither the frame's derivation nor the sector split is shared: the
+    # reference steps the lab-frame H(t) at 1 ns.  The edge case fails by
+    # 3e-2 if the frame turns only the drive's source states, which leaves
+    # cavity loss time-dependent at |h, dim-1>; the undriven case checks
+    # the sectors with no frame at all.
     psi, ham, channels, tolerance = case()
     exact = evolve_master(psi, ham, channels, 2e-6)
     reference = rk4_lindblad(psi, ham, channels, 2e-6, 1e-9)

@@ -79,6 +79,17 @@ def test_non_numeric_and_non_finite_values_rejected(bad):
         SystemParams(**bad)
 
 
+@pytest.mark.parametrize(
+    "omega, detuning",
+    [(math.inf, 1e6), (math.nan, 1e6), (1e6, math.nan), (1e6, -math.inf),
+     ("1e6", 1e6), (1e6, None)],
+)
+def test_drive_spec_rejects_non_finite_values(omega, detuning):
+    # A NaN detuning would give NaN chevron populations and Stark shifts.
+    with pytest.raises(ValueError, match="finite numbers"):
+        DriveSpec(omega, detuning)
+
+
 def test_from_json_roundtrip(tmp_path, params):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(params.to_dict()))
