@@ -18,7 +18,14 @@ import numpy as np
 from .dynamics import _row_blocks, trajectory_rng
 from .hilbert import DEFAULT_ALPHA, CavityBasis, cat_overlap, cat_state
 from .model import SystemParams, induced_chi
-from .protocols import ParityFilter, _check_drive_mode, _records, _trial_streams, map_duration
+from .protocols import (
+    ParityFilter,
+    _check_count,
+    _check_drive_mode,
+    _records,
+    _trial_streams,
+    map_duration,
+)
 from .tomography import _aligned, _golden_section
 
 TWO_PI = 2.0 * math.pi
@@ -387,10 +394,8 @@ def trajectory_decay_curve(
     at each point of the curve.  Round numbers where fewer than two
     trials survive are dropped.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if trials < 2:
-        raise ValueError("need at least two trials")
+    _check_count("n_max", n_max, 1)
+    _check_count("trials", trials, 2)
     _check_drive_mode(drive_mode)
     basis = basis or CavityBasis()
     filt = ParityFilter.for_protocol(params, protocol, alpha)

@@ -127,6 +127,10 @@ class _Streams:
         part.__dict__.update(self.__dict__, _rows=self._rows[rows])
         return part
 
+    def uniforms(self) -> np.ndarray:
+        """One uniform per row."""
+        return self._draws(1)[:, 0]
+
 
 class RowStreams(_Streams):
     """Uniform draws for a stack of trajectory rows.
@@ -141,11 +145,12 @@ class RowStreams(_Streams):
         self._shared = rngs[0] if all(rng is rngs[0] for rng in rngs) else None
         self._rows = np.array([rng.random for rng in rngs], dtype=object)
 
-    def uniforms(self) -> np.ndarray:
-        """One uniform per row; a shared generator draws them in one call."""
+    def _draws(self, count):
+        """Each row's next ``count`` uniforms, as ``count`` calls of ``uniforms`` give them;
+        a shared generator draws them in one call."""
         if self._shared is not None:
-            return self._shared.random(len(self._rows))
-        return np.array([draw() for draw in self._rows], dtype=float)
+            return self._shared.random((count, len(self._rows))).T
+        return np.array([[draw() for draw in self._rows] for _ in range(count)]).T
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror and Shaw, SC 2011) as numpy's Philox
@@ -195,7 +200,7 @@ class CounterStreams(_Streams):
 
     Row i draws what ``trajectory_rng(seed, protocol_index,
     trials[i]).random()`` would, from a buffer of its next draws, without
-    a Generator.  A draw that finds a row's buffer empty refills, in one
+    a Generator.  A draw that finds a row's buffer short refills, in one
     call of the Philox kernel, each of its rows that has used half its
     buffer.  ``take`` gives a view whose rows advance the same buffers.
     """
@@ -211,11 +216,11 @@ class CounterStreams(_Streams):
         self._buf = np.empty((len(trials), _FULL_FILL))
         self._rows = np.arange(len(trials))
 
-    def uniforms(self) -> np.ndarray:
-        """One uniform per row."""
+    def _draws(self, count):
+        """Each row's next ``count`` draws, as a (rows, count) array."""
         rows = self._rows
         pos, end = self._pos[rows], self._end[rows]
-        if (pos >= end).any():
+        if (pos + count > end).any():
             # Refill, from its first unused draw, each row used half or more.
             low = rows[2 * pos >= end]
             width = min(max(2 * int(self._end[low].max()), _FIRST_FILL), _FULL_FILL)
@@ -224,8 +229,8 @@ class CounterStreams(_Streams):
             self._buf[low, :width] = _philox_uniforms(
                 self._seed, self._keys[low], self._start[low], width)
             pos = self._pos[rows]
-        self._pos[rows] = pos + 1
-        return self._buf[rows, pos]
+        self._pos[rows] = pos + count
+        return self._buf[rows[:, None], pos[:, None] + np.arange(count)]
 
 
 def _check_duration(duration) -> None:
@@ -364,7 +369,7 @@ def _master_evolution(ham: HamiltonianSpec, channels, duration: float):
         out = 0.5 * (out + out.conj().T)
         return out / np.real(np.trace(out))
 
-    if not blocks.turn.any():
+    if not blocks.turns:
         return evolve
     leave = np.exp(-1j * duration * blocks.turn)
     return lambda rho: leave[:, None] * evolve(rho) * leave.conj()
@@ -446,7 +451,8 @@ class _Blocks:
     Amplitude j evolves as exp(freq[j] t), except that each pair
     (upper[k], lower[k]) with coupling op[upper, lower] mixes by the
     exponential of its 2x2 block.  The frame turns state j by
-    exp(i turn[j] t).  With no pairs this is the exact diagonal case.
+    exp(i turn[j] t), and ``turns`` says whether any state turns.  With
+    no pairs this is the exact diagonal case.
     Channel c takes amplitude j to sum_s amplitude[c, j, s] times amplitude
     source[c, j, s].  A time t is one per row, or one for all rows.
     """
@@ -460,10 +466,11 @@ class _Blocks:
     turn: np.ndarray
     source: np.ndarray
     amplitude: np.ndarray
+    turns: bool
 
     def frame(self, psi, t, sign):
         """Lab-frame rows at time t into the frame (sign +1), or back (-1)."""
-        if not self.turn.any():
+        if not self.turns:
             return psi
         return psi * np.exp(sign * 1j * self.turn * t)
 
@@ -566,7 +573,8 @@ def _blocks(ham: HamiltonianSpec, channels: tuple) -> _Blocks:
         amplitude[c] = np.take_along_axis(chan.operator, source[c], axis=1)
     for shared in (freq, gamma, products, turn, source, amplitude):  # cached: read-only
         shared.flags.writeable = False
-    return _Blocks(freq, gamma, products, upper, lower, coupling, turn, source, amplitude)
+    return _Blocks(freq, gamma, products, upper, lower, coupling, turn, source, amplitude,
+                   bool(turn.any()))
 
 
 def _evolve_rows(blocks, psi, duration, t0):
@@ -576,37 +584,41 @@ def _evolve_rows(blocks, psi, duration, t0):
 
 
 def _trajectory_rows(psi, blocks, channels, duration, streams, t0, log=None):
-    """Exact waiting-time trajectories of normalized rows, all at once.
+    """Exact waiting-time trajectories of unit rows, all at once.
 
-    Each pass draws one threshold per live row and propagates the live
-    rows to the segment's end; a row's survival is its squared norm there.
-    Rows whose survival stays above the threshold finish with that state;
-    the rest jump, at a time drawn from the threshold by composition on a
-    diagonal generator and where their survival falls to it otherwise.  Rows
-    evolve in the frame, entered at ``t0`` and left at the segment's end;
-    a jump there changes a row by at most a global phase.  With a list
-    ``log``, a pass appends the rows that jump, their times (``t0`` plus
-    the offset) and their channels' labels.
+    Each pass propagates the live rows to the segment's end; a row's
+    survival is its squared norm there.  Rows whose survival stays above
+    their threshold finish with that state; the rest jump, at a time drawn
+    from the threshold by composition on a diagonal generator and where
+    their survival falls to it otherwise.  A row draws its first threshold
+    alone and, at each jump, its channel's uniform and its next threshold
+    as a pair.  Rows evolve in the frame, entered at ``t0`` and left at
+    the segment's end; a jump there changes a row by at most a global
+    phase.  With a list ``log``, a pass appends the rows that jump, their
+    times (``t0`` plus the offset) and their channels' labels.  The rows
+    are not checked: a row that is not finite ends as a RuntimeError.
     """
     out = np.empty_like(psi)
     live = np.arange(len(psi))
     t_done = np.zeros(len(psi))
     remaining = duration  # shared by every row until the first jumps
+    r = streams.uniforms()
     psi = blocks.frame(psi, t0, 1)
-    while live.size:
-        r = streams.take(live).uniforms()
+    while True:
         ends = blocks.propagate(psi, remaining)
         parts = ends.view(float)  # real and imaginary parts side by side
         survival = np.einsum("rk,rk->r", parts, parts)
         stay = survival >= r
+        # In place: a normalized copy would add a stack-sized array to the
+        # peak memory of every batched round.
+        if stay.all():
+            np.divide(ends, np.sqrt(survival)[:, None], out=ends)
+            out[live] = blocks.frame(ends, t0 + duration, -1)
+            return out
         if stay.any():
-            # In place: a normalized copy would add a stack-sized array to
-            # the peak memory of every batched round.
             np.divide(ends, np.sqrt(survival)[:, None], out=ends, where=stay[:, None])
             out[live[stay]] = blocks.frame(ends[stay], t0 + duration, -1)
         jump = ~stay
-        if not jump.any():
-            break
         live, psi, t_done = live[jump], psi[jump], t_done[jump]
         weights = psi.real**2 + psi.imag**2
         if blocks.upper.size:
@@ -617,22 +629,23 @@ def _trajectory_rows(psi, blocks, channels, duration, streams, t0, log=None):
         # Channel weights |L psi|^2 from the L+L diagonals; the chosen one
         # is the squared norm of the jumped row.
         channel_weights = (psi.real**2 + psi.imag**2) @ blocks.products.T
-        total = channel_weights.sum(axis=1, keepdims=True)
-        if not (total > 0.0).all():
+        sums = channel_weights.cumsum(axis=1)
+        if not (sums[:, -1] > 0.0).all():
             raise RuntimeError("no open jump channel at threshold crossing")
-        picks = _draw_index(np.cumsum(channel_weights, axis=1) / total, streams.take(live))
+        draws = streams.take(live)._draws(2)
+        picks, r = _draw_index(sums / sums[:, -1:], draws[:, 0]), draws[:, 1]
         norms = np.sqrt(channel_weights[np.arange(len(picks)), picks])[:, None]
         t_done = t_done + t_jump
         remaining = duration - t_done
         psi = blocks.jump(psi, picks) / norms
         if log is not None:
             log.append((live, t0 + t_done, [channels[idx].label for idx in picks.tolist()]))
-    return out
 
 
-def _draw_index(cdf, streams):
-    """Index each row's next uniform selects from its cumulative distribution."""
-    return np.minimum(np.sum(cdf <= streams.uniforms()[:, None], axis=1), cdf.shape[1] - 1)
+def _draw_index(cdf, u):
+    """Index each row's uniform u in [0, 1) selects from its cumulative distribution,
+    whose last entry must be exactly 1, as running sums over their own last entry are."""
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def _composition_times(weights, gamma, r, remaining):
@@ -650,11 +663,11 @@ def _composition_times(weights, gamma, r, remaining):
     exponents = np.reshape(remaining, (-1, 1)) * gamma  # gamma T
     mass = -weights * np.expm1(-exponents)
     sums = np.zeros((len(r), mass.shape[1] + 1))  # C_0 = 0, C_1, ...
-    np.cumsum(mass, axis=1, out=sums[:, 1:])
+    mass.cumsum(axis=1, out=sums[:, 1:])
     if not (sums[:, -1] > 0.0).all():
         raise RuntimeError("no open jump channel at threshold crossing")
     v = np.minimum(1.0 - r, np.nextafter(sums[:, -1], 0.0))
-    j = np.sum(sums[:, 1:] <= v[:, None], axis=1)
+    j = (sums[:, 1:] <= v[:, None]).sum(axis=1)
     rows = np.arange(len(r))
     fraction = np.minimum((v - sums[rows, j]) / weights[rows, j], -np.expm1(-exponents[rows, j]))
     with np.errstate(divide="ignore"):  # the fraction is 1 where exp(-gamma T) underflows

@@ -137,10 +137,13 @@ def fock_state(n: int, basis: CavityBasis = CavityBasis()) -> np.ndarray:
 def coherent_state(alpha: complex, basis: CavityBasis = CavityBasis()) -> np.ndarray:
     """Normalized coherent state |alpha> in the truncated Fock basis.
 
-    Raises ValueError when ``|alpha|**2 > dim / 3`` beyond round-off; that
-    regime parks too much weight near the truncation edge for downstream
-    evolution to be meaningful.  A milder truncation deficit still warns.
+    Raises ValueError for a non-finite ``alpha`` and when ``|alpha|**2 >
+    dim / 3`` beyond round-off; that regime parks too much weight near the
+    truncation edge for downstream evolution to be meaningful.  A milder
+    truncation deficit still warns.
     """
+    if not math.isfinite(abs(alpha)):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     nbar = abs(alpha) ** 2
     if nbar > basis.dim / 3.0 * (1.0 + 4.0 * np.finfo(float).eps):
         raise ValueError(

@@ -15,6 +15,7 @@ instantaneous; decoherence acts during the wait and readout windows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,11 +24,13 @@ import numpy as np
 from .dynamics import (
     CounterStreams,
     RowStreams,
+    _blocks,
     _draw_index,
     _jump_tuples,
     _master_evolution,
     _row_blocks,
     _run_rows,
+    _trajectory_rows,
 )
 from .hilbert import (
     DEFAULT_ALPHA,
@@ -133,6 +136,12 @@ def _check_drive_mode(drive_mode: str) -> None:
         raise ValueError(f"unknown drive mode {drive_mode!r}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def map_duration(params: SystemParams, protocol: str) -> float:
     """Wait time that turns the parity into a pi phase on the ancilla."""
     _check_protocol(protocol)
@@ -141,7 +150,9 @@ def map_duration(params: SystemParams, protocol: str) -> float:
 
 
 def cat_mean_photons(alpha: float) -> float:
-    """Mean photon number of an even cat, alpha^2 tanh(alpha^2)."""
+    """Mean photon number of an even cat, alpha^2 tanh(alpha^2), for a finite alpha."""
+    if not math.isfinite(abs(alpha)):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     a2 = abs(alpha) ** 2
     return a2 * math.tanh(a2)
 
@@ -183,6 +194,18 @@ def _readout_context(params, basis):
     ham = build_hamiltonian(params, basis)
     channels = collapse_channels(params, basis)
     return ham, channels
+
+
+@lru_cache(maxsize=32)
+def _readout_tables(params, basis):
+    """The confusion rows' running sums over their last entry, and each
+    reported level's derotation exp(2 pi i pull n t_ro)."""
+    confusion = np.cumsum(params.assignment_error, axis=1)
+    confusion /= confusion[:, -1:]
+    pulls = np.array([0.0, params.chi_e, params.chi_f])
+    derotation = np.exp(2j * math.pi * pulls[:, None] * np.arange(basis.dim) * params.t_ro)
+    confusion.flags.writeable = derotation.flags.writeable = False  # cached: read-only
+    return confusion, derotation
 
 
 # The pulses before the wait as one 4x4 matrix: ge_half, then for gf and
@@ -228,19 +251,23 @@ def _map_rows(stack, params, protocol, basis, streams, drive_mode="effective", i
     Each injected error strikes every row at its fraction of the wait, and
     each span starts at its offset into the wait, where a drive's phase
     stands.  A list ``log`` takes the jumps as ``dynamics._trajectory_rows``
-    logs them, timed from the wait start.
+    logs them, timed from the wait start.  The rows must be unit vectors;
+    a stochastic wait without errors runs them through the engine unchecked.
     """
     events = sorted(injected, key=lambda err: err.at)
     if any(not 0.0 <= err.at <= 1.0 for err in events):
         raise ValueError("injected error time must lie in [0, 1]")
     ham, channels = _map_context(params, basis, protocol, drive_mode)
-    if streams is None:
-        channels = ()
     wait = map_duration(params, protocol)
     # Rebound, so a stack the caller passed as a temporary is freed during
     # the wait.
     stack = _OPENING[protocol] @ stack
     flat = stack.reshape(len(stack), -1)
+    if streams is not None and not events:
+        flat = _trajectory_rows(flat, _blocks(ham, channels), channels, wait, streams, 0.0, log)
+        return _CLOSING[protocol] @ flat.reshape(stack.shape)
+    if streams is None:
+        channels = ()
     t_done = 0.0
     for err in events + [None]:
         t_target = wait if err is None else err.at * wait
@@ -308,22 +335,23 @@ def _readout_rows(stack, params, basis, streams, log=None):
 
     Returns the reset stack and the true and the reported level of each
     row as indices into ``OUTCOMES``; the jumps go to ``log`` as in
-    ``_map_rows``.
+    ``_map_rows``.  The rows must be unit vectors.  Each row draws its
+    level and its reported label as one pair.
     """
     ham, channels = _readout_context(params, basis)
-    flat = _run_rows(stack.reshape(len(stack), -1), ham, channels, params.t_ro, streams, 0.0, log)
+    flat = _trajectory_rows(stack.reshape(len(stack), -1), _blocks(ham, channels), channels,
+                            params.t_ro, streams, 0.0, log)
     block = flat.reshape(stack.shape)
-    pops = np.sum(np.abs(block) ** 2, axis=2)
-    level = _draw_index(np.cumsum(pops, axis=1) / pops.sum(axis=1, keepdims=True), streams)
-    cavity = block[np.arange(len(block)), level]
-    cavity /= np.linalg.norm(cavity, axis=1, keepdims=True)
+    draws = streams._draws(2)
+    pops = (np.abs(block) ** 2).sum(axis=2)
+    sums = pops.cumsum(axis=1)
+    level = _draw_index(sums / sums[:, -1:], draws[:, 0])
+    rows = np.arange(len(block))
+    cavity = block[rows, level] / np.sqrt(pops[rows, level])[:, None]
     truth = np.minimum(level, 2)
-    confusion = np.cumsum(np.array(params.assignment_error), axis=1)
-    reported = _draw_index(confusion[truth], streams)
-
-    frame_pull = np.array([0.0, params.chi_e, params.chi_f])[reported]
-    n = np.arange(basis.dim)
-    cavity *= np.exp(2j * math.pi * frame_pull[:, None] * n * params.t_ro)
+    confusion, derotation = _readout_tables(params, basis)
+    reported = _draw_index(confusion[truth], draws[:, 1])
+    cavity *= derotation[reported]
     out = np.zeros_like(block)
     out[:, 0] = cavity
     return out, truth, reported
@@ -363,11 +391,10 @@ def repeated_parity(
     """
     _check_protocol(protocol)
     _check_drive_mode(drive_mode)
-    if n_rounds < 1:
-        raise ValueError(f"n_rounds must be at least 1, got {n_rounds}")
+    _check_count("n_rounds", n_rounds, 1)
     if mode == "trajectory":
-        if trials is not None and trials < 1:
-            raise ValueError(f"trials must be at least 1, got {trials}")
+        if trials is not None:
+            _check_count("trials", trials, 1)
         if trials is not None and seed is None:
             raise ValueError("trials requires a seed for independent streams")
         if trials is None and rng is None:
@@ -604,8 +631,7 @@ def preparation_statistics(
     The tries run as rows of one batch; try a draws from the stream of
     ``trajectory_rng(seed, PREP_STREAM, a)``.
     """
-    if n_attempts < 1:
-        raise ValueError("n_attempts must be at least 1")
+    _check_count("n_attempts", n_attempts, 1)
     signs = 1.0 - 2.0 * (np.arange(basis.dim) % 2)
     successes = 0
     parity_acc = 0.0

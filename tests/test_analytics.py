@@ -23,7 +23,7 @@ from catsim.analytics import (
 )
 from catsim.hilbert import DEFAULT_ALPHA, CavityBasis, cat_overlap, cat_state
 from catsim.model import SystemParams, cancellation_detuning
-from catsim.protocols import map_duration
+from catsim.protocols import ParityFilter, map_duration
 
 CAT_FLOOR = 0.3852155733436824
 GAMMA = 1.0 / 25e-6
@@ -476,6 +476,16 @@ def test_trajectory_decay_validation():
         trajectory_decay_curve(SystemParams(), "gf", 0, trials=40, seed=0)
     with pytest.raises(ValueError):
         trajectory_decay_curve(SystemParams(), "gf", 4, trials=1, seed=0)
+    with pytest.raises(ValueError, match="trials"):
+        trajectory_decay_curve(SystemParams(), "gf", 4, trials=2.5, seed=0)
+    with pytest.raises(ValueError, match="n_max"):
+        trajectory_decay_curve(SystemParams(), "gf", 4.5, trials=2, seed=0)
+    # A NaN amplitude is refused where the filter's flip probability is
+    # set, before any record runs.
+    with pytest.raises(ValueError, match="finite"):
+        trajectory_decay_curve(SystemParams(), "gf", 4, trials=2, seed=0, alpha=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        ParityFilter.for_protocol(SystemParams(), "gf", alpha=math.nan)
     # A dim-4 cavity cannot hold the cat, so the drive mode must be named first.
     with pytest.raises(ValueError, match="unknown drive mode"):
         trajectory_decay_curve(

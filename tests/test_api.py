@@ -116,3 +116,48 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["6"] + ["True"] * 6 + ["1"]
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # A static check of perfbench/tracer.py, so that a rename in src/
+    # cannot break the traced benchmark unseen.  Each patch(...) reads its
+    # attribute from the first module it lists, which must hold it; any
+    # other listed module that holds the name must hold the same object,
+    # and a module that holds the object must be listed, or its calls
+    # would escape the wrapper.  (A listed module may lack the name: six
+    # do, and patch's setattr then adds a name that nothing reads.)  Every
+    # dotted name install() reads from a catsim module must resolve.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "tracer.py").read_text())
+    install = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    modules = {alias.asname: importlib.import_module(alias.name)
+               for node in ast.walk(install) if isinstance(node, ast.Import)
+               for alias in node.names}
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return modules[node.id]
+        return getattr(resolve(node.value), node.attr)
+
+    def rooted_at_a_module(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in modules
+
+    patched = 0
+    for node in ast.walk(install):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "patch":
+            listed = [modules[element.id] for element in node.args[0].elts]
+            attr = ast.literal_eval(node.args[1])
+            assert hasattr(listed[0], attr), (listed[0].__name__, attr)
+            wrapped = getattr(listed[0], attr)
+            for module in listed[1:]:
+                assert getattr(module, attr, wrapped) is wrapped, (module.__name__, attr)
+            for module in modules.values():
+                held = getattr(module, attr, None) is wrapped
+                assert module in listed or not held, (module.__name__, attr)
+            patched += 1
+        elif isinstance(node, ast.Attribute) and rooted_at_a_module(node):
+            resolve(node)
+    assert patched > 20

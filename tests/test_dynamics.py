@@ -830,6 +830,77 @@ def test_counter_streams_draw_what_trajectory_rng_draws():
             assert np.array_equal(values, expected)
 
 
+def test_paired_counter_draws_are_two_successive_draws_across_refills():
+    # Each row first draws alone up to its lead, so that its pairs start at
+    # the end of the first 32-draw buffer (31/32) and of the 64-draw one
+    # that widens to 128 (draws 94 and 95), and just before and after.
+    lead = np.array([0, 30, 31, 32, 93, 94, 95])
+    trials = 3 * np.arange(lead.size)
+    paired, single = (dynamics.CounterStreams(11, 2, trials) for _ in range(2))
+    for step in range(lead.max()):
+        behind = np.flatnonzero(step < lead)
+        for streams in (paired, single):
+            streams.take(behind).uniforms()
+    pairs = []
+    for _ in range(40):
+        pairs.append(paired._draws(2))
+        assert np.array_equal(pairs[-1], np.stack([single.uniforms(), single.uniforms()], 1))
+    drawn = np.concatenate(pairs, axis=1)
+    for row, (trial, start) in enumerate(zip(trials, lead)):
+        expected = trajectory_rng(11, 2, int(trial)).random(start + 80)[start:]
+        assert np.array_equal(drawn[row], expected)
+
+
+def test_paired_row_draws_are_two_successive_draws():
+    # A shared generator, one per row, and one shared by some rows only:
+    # each row's pair is what two calls of uniforms give it, for the whole
+    # stack and for a reordered part of it.
+    def layouts():
+        shared, partial = trajectory_rng(3, 1, 0), trajectory_rng(3, 1, 1)
+        return {
+            "shared": [shared] * 4,
+            "per_row": [trajectory_rng(3, 2, i) for i in range(4)],
+            "partial": [partial, trajectory_rng(3, 3, 0), partial, partial],
+        }
+
+    for name, rngs in layouts().items():
+        paired, single = dynamics.RowStreams(rngs), dynamics.RowStreams(layouts()[name])
+        for rows in (np.arange(4), np.array([2, 0, 3]), np.arange(4)):
+            got = paired.take(rows)._draws(2)
+            part = single.take(rows)
+            assert np.array_equal(got, np.stack([part.uniforms(), part.uniforms()], 1)), name
+
+
+def test_a_channel_draw_at_the_top_of_the_unit_interval_picks_a_channel_with_weight():
+    # Rows in g and e open every channel but relax_fe, dephase_f and
+    # thermal_fh.  Running sums over their own sum can end an ulp or more
+    # below 1, where a uniform just below 1 would pick the closed
+    # thermal_fh; over their own last entry they end at exactly 1.
+    params, basis = SystemParams(), CavityBasis(dim=6)
+    ham, channels = build_hamiltonian(params, basis), collapse_channels(params, basis)
+    psi = np.zeros((64, 4 * basis.dim), dtype=complex)
+    rng = np.random.default_rng(0)
+    psi[:, : 2 * basis.dim] = rng.normal(size=(64, 12)) + 1j * rng.normal(size=(64, 12))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    weights = (np.abs(psi) ** 2) @ dynamics._blocks(ham, channels).products.T
+    assert (np.cumsum(weights, axis=1)[:, -1] / weights.sum(axis=1) < 1.0).any()
+
+    class Stub(dynamics._Streams):
+        # First thresholds just below 1, so every row jumps at once; then a
+        # channel uniform just below 1 and a threshold of 0, so none again.
+        def __init__(self, rows):
+            self._rows = np.arange(rows)
+
+        def _draws(self, count):
+            return np.tile([np.nextafter(1.0, 0.0), 0.0][:count], (len(self._rows), 1))
+
+    log = []
+    out = dynamics._trajectory_rows(psi, dynamics._blocks(ham, channels), channels, 1e-6,
+                                    Stub(len(psi)), 0.0, log)
+    assert np.isfinite(out).all()
+    assert [label for _, _, labels in log for label in labels] == ["thermal_ge"] * len(psi)
+
+
 def test_counter_streams_refuse_what_trajectory_rng_refuses():
     dynamics.CounterStreams(2**64 - 1, 2**32 - 1, [0, 2**32 - 1])
     for seed, protocol, bad_trial in ((-1, 0, 0), (2**64, 0, 0), (0, 2**32, 0),

@@ -73,6 +73,11 @@ def test_coherent_state_overlap_formula(basis20):
 def test_coherent_state_rejects_large_amplitude():
     with pytest.raises(ValueError, match="dim/3"):
         coherent_state(math.sqrt(7.0), CavityBasis(dim=20))
+    # A non-finite amplitude is refused, not returned as a NaN vector.
+    for alpha in (math.nan, math.inf, complex(1.0, math.nan)):
+        for make in (coherent_state, cat_state):
+            with pytest.raises(ValueError, match="finite"):
+                make(alpha, CavityBasis(dim=20))
 
 
 def test_coherent_state_allows_round_off_at_the_bound():

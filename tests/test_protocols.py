@@ -37,6 +37,7 @@ from catsim.protocols import (
     readout_and_reset,
     repeated_parity,
 )
+from oracles import oracle_round
 
 PULSES = ("ge_half", "ge_half_inv", "ef_full")
 
@@ -461,6 +462,30 @@ def test_batched_records_match_records_run_alone(basis20, protocol):
     assert jumped > 0
 
 
+@pytest.mark.parametrize("drive_mode", ["effective", "time_dependent"])
+@pytest.mark.parametrize("protocol", ["ge", "gf", "ft"])
+def test_records_match_an_oracle_round_of_public_pieces(basis20, even_cat, protocol, drive_mode):
+    # The batched round runs its rows unchecked, reads cached readout
+    # tables and draws in pairs; the oracle does none of these, so every
+    # level must agree and every cavity within round-off.
+    params, trials, rounds = SystemParams(), 16, 12
+    index = protocols.PROTOCOL_INDEX[protocol]
+    reported, truth, cavities = protocols._records(
+        params, protocol, rounds, basis20, even_cat, drive_mode,
+        dynamics.CounterStreams(5, index, np.arange(trials)),
+    )
+    streams = dynamics.CounterStreams(5, index, np.arange(trials))
+    stack = np.zeros((trials, 4, basis20.dim), dtype=complex)
+    stack[:, 0] = even_cat
+    for k in range(rounds):
+        stack, want_truth, want_reported = oracle_round(
+            stack, params, protocol, basis20, streams, drive_mode)
+        assert np.array_equal(truth[:, k], want_truth)
+        assert np.array_equal(reported[:, k], want_reported)
+        assert np.max(np.abs(cavities[:, k] - stack[:, 0])) <= 1e-10
+    assert (truth != 0).any()
+
+
 def test_batched_preparation_rows_leave_at_their_first_non_g(basis20):
     # Heralding rows leave the batch at different rounds; each still ends
     # as the same attempt run alone on its stream.
@@ -690,6 +715,8 @@ def test_repeated_parity_reports_configuration_errors_before_building_the_cat():
         (-3, dict(mode="master"), "n_rounds"),
         (1, dict(trials=0, seed=1), "trials"),
         (1, dict(trials=-2), "trials"),
+        (1, dict(trials=2.5, seed=1), "trials"),
+        (2.5, dict(trials=2, seed=1), "n_rounds"),
         (1, dict(mode="bogus"), "unknown mode"),
         (1, dict(trials=2), "seed"),
         (1, dict(), "rng"),
@@ -794,7 +821,7 @@ def test_noiseless_preparation_rate(basis20):
     assert stats.mean_parity > 0.999
 
 
-@pytest.mark.parametrize("n_attempts", [0, -5])
+@pytest.mark.parametrize("n_attempts", [0, -5, 2.5])
 def test_preparation_statistics_rejects_no_attempts(n_attempts):
     with pytest.raises(ValueError, match="n_attempts"):
         preparation_statistics(QUIET, seed=1, n_attempts=n_attempts, basis=CavityBasis(8))
