@@ -264,8 +264,8 @@ def liouvillian(ham: HamiltonianSpec, channels) -> np.ndarray:
     heff = _blocks(ham, tuple(channels)).generator()
     ident = np.eye(len(heff), dtype=complex)
     sup = -1j * (np.kron(heff, ident) - np.kron(ident, heff.conj()))
-    for chan in channels:
-        sup += np.kron(chan.operator, chan.operator.conj())
+    for op in (chan.operator for chan in channels):
+        sup += np.kron(op, op.conj())
     return sup
 
 
@@ -278,7 +278,7 @@ def _sectors(heff, channels):
     d = len(heff)
     ident = np.eye(d)
     terms = [(-1j * heff, ident), (ident, 1j * heff.conj()),
-             *((chan.operator, chan.operator.conj()) for chan in channels)]
+             *((op, op.conj()) for op in (chan.operator for chan in channels))]
     links = [np.nonzero(a) + np.nonzero(b) for a, b in terms]
     u = np.concatenate([(ja[:, None] * d + jb).ravel() for ja, _, jb, _ in links])
     v = np.concatenate([(la[:, None] * d + lb).ravel() for _, la, _, lb in links])
@@ -533,11 +533,16 @@ def _blocks(ham: HamiltonianSpec, channels: tuple) -> _Blocks:
     each state a channel links to S where it also links two states of S
     (the whole h level for the sideband, as cavity loss reaches the
     undriven |h, dim-1>).  A channel left turning by more than a global
-    phase is a ValueError, as is a non-finite matrix entry or drive
-    frequency.
+    phase is a ValueError, as is a channel of another dimension than the
+    Hamiltonian, a non-finite matrix entry or drive frequency.
     """
+    dim = len(ham.static)
+    for chan in channels:
+        if len(chan.source) != dim:
+            raise ValueError(f"channel {chan.label!r} has dimension {len(chan.source)}, "
+                             f"the Hamiltonian {dim}")
     mats = (ham.static, *(x for term in ham.periodic for x in term),  # operators and frequencies
-            *(chan.operator for chan in channels))
+            *(chan.amplitude for chan in channels))
     if not all(np.isfinite(mat).all() for mat in mats):
         raise ValueError("non-finite entry or drive frequency in the Hamiltonian or a channel")
     diag = ham.static_diagonal
@@ -547,30 +552,34 @@ def _blocks(ham: HamiltonianSpec, channels: tuple) -> _Blocks:
     if any(p is None for p in products):
         raise ValueError("exact evolution needs every L+L product to be diagonal")
     upper, lower, coupling, omega = ham.drive_pairs
-    products = np.array(products, dtype=float).reshape(len(products), diag.size)
+    products = np.array(products, dtype=float).reshape(len(products), dim)
     gamma = np.sum(products, axis=0)
-    inside = np.isin(np.arange(diag.size), lower)
+    inside = np.isin(np.arange(dim), lower)
     if upper.size:
-        links = [chan.operator != 0.0 for chan in channels]
+        # Each channel's (row, column) pairs of nonzero entries.
+        links = [(np.nonzero(chan.amplitude)[0], chan.source[chan.amplitude != 0.0])
+                 for chan in channels]
         size = 0
         while size < inside.sum():
             size = inside.sum()
-            for link in links:
-                if link[np.ix_(inside, inside)].any():
-                    inside = inside | link[:, inside].any(axis=1) | link[inside].any(axis=0)
-        steps = [inside[rows].astype(int) - inside[cols] for rows, cols in map(np.nonzero, links)]
+            for rows, cols in links:
+                if (inside[rows] & inside[cols]).any():
+                    grown = inside.copy()
+                    grown[rows[inside[cols]]] = grown[cols[inside[rows]]] = True
+                    inside = grown
+        steps = [inside[rows].astype(int) - inside[cols] for rows, cols in links]
         if inside[upper].any() or any(np.any(step != step[:1]) for step in steps):
             raise ValueError("no frame makes the drive and every channel static")
     turn = omega * inside
     freq = -1j * (diag - turn) - 0.5 * gamma
-    # Slot s of row j of each channel reads the s-th nonzero column of that
-    # row, or a zero; every catsim channel has one slot per row.
-    slots = max([1] + [int(np.count_nonzero(chan.operator, axis=1).max()) for chan in channels])
-    source = np.zeros((len(channels), diag.size, slots), dtype=np.intp)
+    # Every channel's rows padded with zero amplitudes to the widest
+    # channel's slots; every catsim channel has one slot per row.
+    slots = max([1] + [chan.source.shape[1] for chan in channels])
+    source = np.zeros((len(channels), dim, slots), dtype=np.intp)
     amplitude = np.zeros(source.shape, dtype=complex)
     for c, chan in enumerate(channels):
-        source[c] = np.argsort(chan.operator == 0.0, axis=1, kind="stable")[:, :slots]
-        amplitude[c] = np.take_along_axis(chan.operator, source[c], axis=1)
+        source[c, :, : chan.source.shape[1]] = chan.source
+        amplitude[c, :, : chan.source.shape[1]] = chan.amplitude
     for shared in (freq, gamma, products, turn, source, amplitude):  # cached: read-only
         shared.flags.writeable = False
     return _Blocks(freq, gamma, products, upper, lower, coupling, turn, source, amplitude,

@@ -8,7 +8,9 @@ Conventions used across the package:
   level ``a`` and photon number ``n``.
 * The four transmon levels g, e, f, h map to ancilla indices 0, 1, 2, 3.
 * Density matrices are square arrays over the same index sets.
-* Operators are dense complex matrices; nothing here is sparse.
+* The operators here are dense complex matrices.  A jump channel
+  (``model.CollapseChannel``) stores its operator as gather rows instead,
+  at most a few nonzero columns per row.
 """
 
 from __future__ import annotations

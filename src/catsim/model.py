@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import AncillaBasis, CavityBasis, lift_ancilla, lift_cavity
+from .hilbert import AncillaBasis, CavityBasis
 
 __all__ = [
     "CollapseChannel",
@@ -68,9 +68,22 @@ def _row_sequence(value) -> bool:
 
 def _exact_diagonal(mat: np.ndarray):
     """Copy of the diagonal of ``mat``, or None if any off-diagonal entry is nonzero (or NaN)."""
-    if np.count_nonzero(mat[~np.eye(len(mat), dtype=bool)]):
+    diagonal = np.diagonal(mat)
+    if np.count_nonzero(mat) != np.count_nonzero(diagonal):
         return None
-    return np.diagonal(mat).copy()
+    return diagonal.copy()
+
+
+def _rows(mat: np.ndarray):
+    """The gather rows ``(source, amplitude)`` of a square matrix, each of shape (d, slots).
+
+    Slot s of row j reads the s-th nonzero (or NaN) column of that row, then
+    its zero columns in order; there are as many slots as the fullest row
+    has nonzeros, and at least one.
+    """
+    slots = max(1, int(np.count_nonzero(mat, axis=1).max()))
+    source = np.argsort(mat == 0.0, axis=1, kind="stable")[:, :slots]
+    return source, np.take_along_axis(mat, source, axis=1)
 
 
 @dataclass(frozen=True)
@@ -190,7 +203,7 @@ class HamiltonianSpec:
         one periodic term or for pairs that are not disjoint."""
         if len(self.periodic) > 1:
             raise ValueError("exact evolution handles one periodic term")
-        op, freq_hz = self.periodic[0] if self.periodic else (np.zeros_like(self.static), 0.0)
+        op, freq_hz = self.periodic[0] if self.periodic else (np.zeros((0, 0), complex), 0.0)
         upper, lower = np.nonzero(op)
         if len(set(upper) | set(lower)) < 2 * upper.size:
             raise ValueError("the periodic term must couple disjoint pairs of basis states")
@@ -281,30 +294,66 @@ def build_hamiltonian(
     elif mode == "time_dependent":
         if drive is None:
             raise ValueError("time_dependent mode requires a drive specification")
-        coupling = TWO_PI * 0.5 * drive.omega * np.kron(
-            _ANCILLA.transition("e", "h"), basis.creation()
+        coupling = np.kron(
+            TWO_PI * 0.5 * drive.omega * _ANCILLA.transition("e", "h"), basis.creation()
         )
         periodic = ((coupling, drive.detuning),)
 
-    return HamiltonianSpec(static=np.diag(TWO_PI * diag).astype(complex), periodic=periodic)
+    return HamiltonianSpec(static=np.diag((TWO_PI * diag).astype(complex)), periodic=periodic)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CollapseChannel:
-    """Jump operator with its rate folded in: operator = sqrt(rate) * L.
+    """Jump operator with its rate folded in, sqrt(rate) * L, stored as gather rows.
 
-    ``product_diag`` caches the diagonal of L+L (rate included) when that
-    product is exactly diagonal, which the trajectory fast path relies on.
+    Row j holds ``amplitude[j, s]`` in column ``source[j, s]`` for each
+    slot s (see ``_rows``).  The constructor takes the dense square
+    matrix, which ``operator`` rebuilds on each access.  ``product_diag``
+    is the diagonal of L+L (rate included) when that product is exactly
+    diagonal, which the trajectory engine relies on, and None otherwise.
     """
 
     label: str
-    operator: np.ndarray
+    source: np.ndarray
+    amplitude: np.ndarray
     rate: float
+    product_diag: np.ndarray | None
 
-    @cached_property
-    def product_diag(self):
-        diag = _exact_diagonal(self.operator.conj().T @ self.operator)
-        return None if diag is None else diag.real
+    def __init__(self, label: str, operator, rate: float):
+        mat = np.asarray(operator, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"channel {label!r} needs a square matrix, got shape {mat.shape}")
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite: _blocks' ValueError
+            diag = _exact_diagonal(mat.conj().T @ mat)
+        source, amplitude = _rows(mat)
+        self.__dict__.update(label=label, source=source, amplitude=amplitude, rate=rate,
+                             product_diag=None if diag is None else diag.real)
+
+    @classmethod
+    def _of_factors(cls, label: str, rate: float, ancilla, cavity):
+        """sqrt(rate) kron(A, C) for an A and a C with at most one nonzero per row.
+
+        Row (i, n) reads column (source_A[i], source_C[n]) with amplitude
+        sqrt(rate) (A_i C_n), the product np.kron forms, and a zero row
+        reads column 0, as in ``_rows``.  L+L is then |amplitude|^2 summed
+        by source.
+        """
+        (a_source, a_amp), (c_source, c_amp) = _rows(ancilla), _rows(cavity)
+        amplitude = math.sqrt(rate) * (a_amp[:, None] * c_amp).reshape(-1, 1)
+        source = (a_source[:, None] * len(cavity) + c_source).reshape(-1, 1)
+        source = np.where(amplitude != 0.0, source, 0)
+        weights = (amplitude.real**2 + amplitude.imag**2).ravel()
+        chan = cls.__new__(cls)
+        chan.__dict__.update(label=label, source=source, amplitude=amplitude, rate=rate,
+                             product_diag=np.bincount(source.ravel(), weights, len(source)))
+        return chan
+
+    @property
+    def operator(self) -> np.ndarray:
+        """The dense matrix sqrt(rate) * L, rebuilt on each access."""
+        mat = np.zeros((len(self.source),) * 2, dtype=complex)
+        np.put_along_axis(mat, self.source, self.amplitude, axis=1)
+        return mat
 
 
 def collapse_channels(
@@ -332,7 +381,7 @@ def collapse_channels(
         ("thermal_fh", 3.0 * params.n_th / params.T1_eg),
     )
     return tuple(
-        CollapseChannel(label, math.sqrt(rate) * error_operator(label, basis), rate)
+        CollapseChannel._of_factors(label, rate, *_factors(label, basis))
         for label, rate in rates
         if rate > 0.0
     )
@@ -345,8 +394,13 @@ def error_operator(name: str, basis: CavityBasis = CavityBasis()) -> np.ndarray:
     on the g-e or g-f superposition); the rest are the jump operators of
     the matching dissipation channels.
     """
+    return np.kron(*_factors(name, basis))
+
+
+def _factors(name: str, basis: CavityBasis):
+    """The ancilla and the cavity factor whose kron is operator ``name``."""
     if name == "cavity_loss":
-        return lift_cavity(basis.annihilation())
+        return np.eye(_ANCILLA.dim, dtype=complex), basis.annihilation()
     if name not in _ANCILLA_JUMPS:
         raise KeyError(f"unknown error operator {name!r}")
-    return lift_ancilla(_ANCILLA_JUMPS[name], basis.dim)
+    return _ANCILLA_JUMPS[name], np.eye(basis.dim, dtype=complex)

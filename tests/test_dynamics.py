@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from catsim import dynamics
+from catsim import dynamics, model
 
 from catsim.hilbert import CavityBasis, cat_state, coherent_state, joint_index, joint_state
 from catsim.model import (
@@ -764,6 +764,70 @@ def test_non_finite_generators_are_refused():
         chevron_map(SystemParams(), [math.nan], [0.0, 1e-7])
     with pytest.raises(ValueError, match="finite numbers"):
         measured_stark_shift(SystemParams(), DriveSpec(1.7e6, math.nan))
+
+
+def test_channels_of_the_wrong_shape_are_refused():
+    # A channel that is not a square matrix, or whose size is not the
+    # Hamiltonian's, is refused by name before numpy fails on its shape.
+    psi = np.array([0.6, 0.8j])
+    for op in (np.zeros(2), np.zeros((2, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="'bad' needs a square matrix"):
+            CollapseChannel("bad", op, 1.0)
+    wide = CollapseChannel("wide", np.eye(3), 1.0)
+    with pytest.raises(ValueError, match="'wide' has dimension 3"):
+        evolve_master(psi, two_level_ham(), (wide,), 1e-6)
+    with pytest.raises(ValueError, match="'wide' has dimension 3"):
+        run_trajectory(psi, two_level_ham(), (wide,), 1e-6, trajectory_rng(0))
+
+
+# Entries of random channels: zeros of either sign, cancelling signs and
+# non-finite values among them.
+_ENTRIES = st.sampled_from([1.0, -1.0, 0.5j, 1.0 + 1.0j, -0.25 + 2.0j, 1e-3, -0.0,
+                            complex(-0.0, -0.0), np.nan, complex(0.0, np.nan), np.inf,
+                            complex(0.0, -np.inf)])
+
+
+def dense_tables(mat):
+    """The gather tables _blocks read off a dense channel matrix by argsort."""
+    slots = max(1, int(np.count_nonzero(mat, axis=1).max()))
+    source = np.argsort(mat == 0.0, axis=1, kind="stable")[:, :slots]
+    return source, np.take_along_axis(mat, source, axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_channel_rows_round_trip_and_match_the_dense_tables(data):
+    d = data.draw(st.integers(1, 8), label="d")
+    mat = np.zeros((d, d), dtype=complex)
+    for row in range(d):
+        for col in data.draw(st.lists(st.integers(0, d - 1), max_size=3, unique=True)):
+            mat[row, col] = data.draw(_ENTRIES)
+    if d >= 2 and data.draw(st.booleans(), label="hadamard"):
+        # Two rows reading the same two columns, whose products cancel off
+        # the diagonal.
+        i, j = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        mat[:2] = mat[:, [i, j]] = 0.0
+        mat[0, [i, j]], mat[1, [i, j]] = (1.0, 1.0), (1.0, -1.0)
+    chan = CollapseChannel("c", mat, 1.0)
+    assert np.array_equal(chan.operator, mat, equal_nan=True)
+    source, amplitude = dense_tables(mat)
+    assert chan.source.tobytes() == source.tobytes()
+    assert chan.amplitude.tobytes() == amplitude.tobytes()
+    ham = HamiltonianSpec(static=np.zeros((d, d), dtype=complex))
+    if not np.isfinite(mat).all():
+        with pytest.raises(ValueError, match="non-finite"):
+            dynamics._blocks(ham, (chan,))
+        return
+    expected = model._exact_diagonal(mat.conj().T @ mat)
+    if expected is None:
+        assert chan.product_diag is None
+        with pytest.raises(ValueError, match="product to be diagonal"):
+            dynamics._blocks(ham, (chan,))
+        return
+    assert chan.product_diag.tobytes() == expected.real.tobytes()
+    blocks = dynamics._blocks(ham, (chan,))
+    assert blocks.source[0].tobytes() == source.tobytes()
+    assert blocks.amplitude[0].tobytes() == amplitude.tobytes()
 
 
 def test_trajectory_rng_streams():

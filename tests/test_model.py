@@ -6,6 +6,7 @@ import pytest
 
 from catsim.hilbert import CavityBasis, cat_state, joint_index, joint_state
 from catsim.model import (
+    CollapseChannel,
     DriveSpec,
     HamiltonianSpec,
     SystemParams,
@@ -246,6 +247,22 @@ def test_collapse_channels_rates_and_structure(params):
     for chan in channels.values():
         ldl = chan.operator.conj().T @ chan.operator
         assert np.allclose(ldl, np.diag(np.diagonal(ldl)), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 20, 40])
+@pytest.mark.parametrize("drive_on", [False, True])
+def test_channels_built_from_their_factors_match_the_dense_operator(dim, drive_on):
+    # collapse_channels builds each channel's rows from its ancilla and
+    # cavity factors; they are the rows of the dense matrix byte for byte.
+    basis = CavityBasis(dim)
+    for chan in collapse_channels(SystemParams(), basis, drive_on=drive_on):
+        dense = CollapseChannel(
+            chan.label, math.sqrt(chan.rate) * error_operator(chan.label, basis), chan.rate
+        )
+        for name in ("source", "amplitude", "product_diag"):
+            got, want = getattr(chan, name), getattr(dense, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), (chan.label, name)
 
 
 def test_drive_on_scales_only_dephasing(params):

@@ -1,6 +1,7 @@
 """Sequence-level checks: truth tables, filtering, preparation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -842,3 +843,33 @@ def test_prepare_cat_returns_even_state(basis20):
     assert state_fidelity(res.cavity, cat_state(ALPHA, basis20)) > 0.999
     pops = ancilla_populations(res.state)
     assert pops[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("protocol, drive_mode, keeps, peaks", [
+    ("readout", None, 1.5, 2.5), ("gf", "effective", 1.5, 2.5),
+    ("gf", "time_dependent", 1.5, 2.5), ("ft", "effective", 1.5, 2.5),
+    ("ft", "time_dependent", 2.5, 4.0),
+])
+def test_round_contexts_hold_no_dense_channel_matrices(protocol, drive_mode, keeps, peaks):
+    # In units of one dense (4 dim)^2 matrix at dim 100: the static
+    # Hamiltonian is one and the time_dependent drive's coupling another;
+    # a channel is its gather rows, so eight channel matrices would show.
+    params, basis = SystemParams(), CavityBasis(100)
+    unit = (4 * basis.dim) ** 2 * np.dtype(complex).itemsize
+    caches = (protocols._map_context, protocols._readout_context, dynamics._blocks)
+    for cache in caches:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        if protocol == "readout":
+            context = protocols._readout_context(params, basis)
+        else:
+            context = protocols._map_context(params, basis, protocol, drive_mode)
+        dynamics._blocks(*context)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        for cache in caches:
+            cache.cache_clear()
+    assert kept / unit < keeps
+    assert peak / unit < peaks
