@@ -17,10 +17,9 @@ import numpy as np
 
 from .dynamics import _row_blocks, trajectory_rng
 from .hilbert import DEFAULT_ALPHA, CavityBasis, cat_overlap, cat_state
-from .model import SystemParams, induced_chi
+from .model import SystemParams, _check_count, induced_chi
 from .protocols import (
     ParityFilter,
-    _check_count,
     _check_drive_mode,
     _records,
     _trial_streams,
@@ -274,10 +273,8 @@ def phase_kick_monte_carlo(
     total = float(probabilities.sum())
     if total > 1.0 + 1e-12:
         raise ValueError("event probabilities must sum to at most 1")
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for a stable curve")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _check_count("trials", trials, 1000)  # fewer give no stable curve
+    _check_count("n_max", n_max, 1)
     rng = trajectory_rng(seed, KICK_STREAM, 0)
     cumulative = np.cumsum(probabilities)
     ranges = np.sort([

@@ -7,12 +7,13 @@ onto the states op takes from and every state a channel links to them,
 the generator is exactly H' = H_static - 2 pi f P + op + op+ (a change of
 frame, not a rotating-wave approximation) and every channel is static up
 to a global phase: one 2x2 block per pair, 1x1 blocks elsewhere, and the
-undriven and effective models are the all-1x1 case.  Every L+L is
-diagonal, so H' - (i/2) sum L+L has the same blocks.  Unitary evolution
-and the batched waiting-time trajectories (Dalibard, Castin & Molmer,
-PRL 68, 580 (1992)) are therefore exact: a diagonal generator's jump
-times are drawn in closed form from its mixture of exponentials, and
-only drive-coupled pairs take a safeguarded Newton solve.  The master
+undriven and effective models are the all-1x1 case.  Every channel
+reads one column per row, so its L+L is diagonal and H' - (i/2) sum L+L
+has the same blocks.  Unitary evolution and the batched waiting-time
+trajectories (Dalibard, Castin & Molmer, PRL 68, 580 (1992)) are
+therefore exact: a diagonal generator's jump times are drawn in closed
+form from its mixture of exponentials, and only drive-coupled pairs
+take a safeguarded Newton solve.  The master
 equation runs in the same frame, where its generator keeps N - N' of
 each density element (N = n + [h]); each sector it never mixes is
 exponentiated exactly at every dimension.
@@ -31,9 +32,11 @@ from numpy.random import Generator, Philox
 
 from .hilbert import CavityBasis, as_density, joint_index, joint_state, validate_state
 from .model import (
+    TWO_PI,
     DriveSpec,
     HamiltonianSpec,
     SystemParams,
+    _check_count,
     build_hamiltonian,
     collapse_channels,
     induced_chi,
@@ -407,8 +410,8 @@ def run_trajectories(
     Returns the normalized final states and, per row, the tuple of jump
     records timed as ``t0`` plus the offset into the segment.  Without
     channels or duration the rows evolve unitarily and draw nothing.  A
-    generator outside the block structure, a row that is not finite or
-    has zero norm, or a negative or non-finite duration is a ValueError.
+    channel that no frame keeps static, a row that is not finite or has
+    zero norm, or a negative or non-finite duration is a ValueError.
     """
     log = []
     out = _run_rows(states, ham, channels, duration, streams, t0, log)
@@ -453,8 +456,8 @@ class _Blocks:
     exponential of its 2x2 block.  The frame turns state j by
     exp(i turn[j] t), and ``turns`` says whether any state turns.  With
     no pairs this is the exact diagonal case.
-    Channel c takes amplitude j to sum_s amplitude[c, j, s] times amplitude
-    source[c, j, s].  A time t is one per row, or one for all rows.
+    Channel c takes amplitude j to amplitude[c, j] times amplitude
+    source[c, j].  A time t is one per row, or one for all rows.
     """
 
     freq: np.ndarray
@@ -512,9 +515,12 @@ class _Blocks:
         return out
 
     def jump(self, psi, picks):
-        """psi @ L.T for the channel L of each row in ``picks``, as a gather."""
-        gathered = psi[np.arange(len(psi))[:, None, None], self.source[picks]]
-        return (gathered * self.amplitude[picks]).sum(axis=2)
+        """psi @ L.T for the channel L of each row in ``picks``, as a gather.
+
+        Adding 0.0 makes a zero product +0, the sign the dense product's sum gives it.
+        """
+        gathered = psi[np.arange(len(psi))[:, None], self.source[picks]]
+        return gathered * self.amplitude[picks] + 0.0
 
     def weigh_pairs(self, psi, t, terms):
         """Write each pair's |amplitude|^2 after each row's time t into terms."""
@@ -523,41 +529,33 @@ class _Blocks:
         terms[:, self.lower] = low.real**2 + low.imag**2
 
 
+# The drive pairs of a static Hamiltonian: none, at frequency zero.
+_NO_DRIVE = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, complex), 0.0)
+
+
 @lru_cache(maxsize=32)
 def _blocks(ham: HamiltonianSpec, channels: tuple) -> _Blocks:
     """The block structure of ``ham`` with ``channels`` and its frame, or a ValueError.
 
-    Needs a diagonal static part, diagonal L+L products and at most one
-    periodic term, whose operator couples disjoint pairs of basis states.
     The frame exp(-i omega t P_S) turns S: the drive's sources, grown by
     each state a channel links to S where it also links two states of S
     (the whole h level for the sideband, as cavity loss reaches the
     undriven |h, dim-1>).  A channel left turning by more than a global
     phase is a ValueError, as is a channel of another dimension than the
-    Hamiltonian, a non-finite matrix entry or drive frequency.
+    Hamiltonian.
     """
-    dim = len(ham.static)
+    dim = len(ham.diagonal)
     for chan in channels:
         if len(chan.source) != dim:
             raise ValueError(f"channel {chan.label!r} has dimension {len(chan.source)}, "
                              f"the Hamiltonian {dim}")
-    mats = (ham.static, *(x for term in ham.periodic for x in term),  # operators and frequencies
-            *(chan.amplitude for chan in channels))
-    if not all(np.isfinite(mat).all() for mat in mats):
-        raise ValueError("non-finite entry or drive frequency in the Hamiltonian or a channel")
-    diag = ham.static_diagonal
-    if diag is None:
-        raise ValueError("exact evolution needs a diagonal static Hamiltonian")
-    products = [chan.product_diag for chan in channels]
-    if any(p is None for p in products):
-        raise ValueError("exact evolution needs every L+L product to be diagonal")
-    upper, lower, coupling, omega = ham.drive_pairs
-    products = np.array(products, dtype=float).reshape(len(products), dim)
+    upper, lower, coupling, freq_hz = _NO_DRIVE if ham.drive is None else ham.drive
+    products = np.array([chan.product_diag for chan in channels], dtype=float).reshape(-1, dim)
     gamma = np.sum(products, axis=0)
     inside = np.isin(np.arange(dim), lower)
     if upper.size:
         # Each channel's (row, column) pairs of nonzero entries.
-        links = [(np.nonzero(chan.amplitude)[0], chan.source[chan.amplitude != 0.0])
+        links = [(np.flatnonzero(chan.amplitude), chan.source[chan.amplitude != 0.0])
                  for chan in channels]
         size = 0
         while size < inside.sum():
@@ -570,16 +568,10 @@ def _blocks(ham: HamiltonianSpec, channels: tuple) -> _Blocks:
         steps = [inside[rows].astype(int) - inside[cols] for rows, cols in links]
         if inside[upper].any() or any(np.any(step != step[:1]) for step in steps):
             raise ValueError("no frame makes the drive and every channel static")
-    turn = omega * inside
-    freq = -1j * (diag - turn) - 0.5 * gamma
-    # Every channel's rows padded with zero amplitudes to the widest
-    # channel's slots; every catsim channel has one slot per row.
-    slots = max([1] + [chan.source.shape[1] for chan in channels])
-    source = np.zeros((len(channels), dim, slots), dtype=np.intp)
-    amplitude = np.zeros(source.shape, dtype=complex)
-    for c, chan in enumerate(channels):
-        source[c, :, : chan.source.shape[1]] = chan.source
-        amplitude[c, :, : chan.source.shape[1]] = chan.amplitude
+    turn = TWO_PI * freq_hz * inside
+    freq = -1j * (ham.diagonal - turn) - 0.5 * gamma
+    source = np.array([chan.source for chan in channels], dtype=np.intp).reshape(-1, dim)
+    amplitude = np.array([chan.amplitude for chan in channels], dtype=complex).reshape(-1, dim)
     for shared in (freq, gamma, products, turn, source, amplitude):  # cached: read-only
         shared.flags.writeable = False
     return _Blocks(freq, gamma, products, upper, lower, coupling, turn, source, amplitude,
@@ -735,6 +727,7 @@ def trajectory_ensemble_density(
     seed: int,
 ) -> np.ndarray:
     """Trajectory-averaged density of a unit state; trial t draws trajectory_rng(seed, 0, t)."""
+    _check_count("n_traj", n_traj, 1)
     validate_state(state)
     psi0 = np.asarray(state, dtype=complex)
     acc = np.zeros((psi0.size, psi0.size), dtype=complex)

@@ -2,8 +2,12 @@
 
 Frequencies are plain Hz and times are seconds everywhere in the public
 interface; the single conversion to angular units happens when a
-Hamiltonian matrix is assembled.  All operators live in the joint
+Hamiltonian is assembled.  All operators live in the joint
 ancilla-cavity space with the ancilla-major ordering from `hilbert`.
+They are stored in the structure the engines run on: a Hamiltonian is
+its diagonal plus the sideband's disjoint drive pairs, and a jump
+channel is one gather slot per row.  Neither builder forms a dense
+joint matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -61,29 +64,21 @@ def _finite_number(value) -> bool:
     return real and math.isfinite(value)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _row_sequence(value) -> bool:
     """True for a list, tuple or array of three items."""
     return isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3
 
 
-def _exact_diagonal(mat: np.ndarray):
-    """Copy of the diagonal of ``mat``, or None if any off-diagonal entry is nonzero (or NaN)."""
-    diagonal = np.diagonal(mat)
-    if np.count_nonzero(mat) != np.count_nonzero(diagonal):
-        return None
-    return diagonal.copy()
-
-
-def _rows(mat: np.ndarray):
-    """The gather rows ``(source, amplitude)`` of a square matrix, each of shape (d, slots).
-
-    Slot s of row j reads the s-th nonzero (or NaN) column of that row, then
-    its zero columns in order; there are as many slots as the fullest row
-    has nonzeros, and at least one.
-    """
-    slots = max(1, int(np.count_nonzero(mat, axis=1).max()))
-    source = np.argsort(mat == 0.0, axis=1, kind="stable")[:, :slots]
-    return source, np.take_along_axis(mat, source, axis=1)
+def _slot(mat: np.ndarray):
+    """Each row's first nonzero (or NaN) column, column 0 for a zero row, and its entry."""
+    source = np.argmax(mat != 0.0, axis=1)
+    return source, mat[np.arange(len(mat)), source]
 
 
 @dataclass(frozen=True)
@@ -176,42 +171,49 @@ class DriveSpec:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
-    """Static Hamiltonian matrix plus optional periodic drive terms.
+    """A diagonal Hamiltonian with an optional drive on disjoint pairs of basis states.
 
-    ``periodic`` entries are ``(op, freq_hz)`` pairs; the full generator is
-    ``static + sum(op * exp(2j pi f t) + op.conj().T * exp(-2j pi f t))``.
-    Matrix entries are angular frequencies (rad/s).
+    ``diagonal`` holds each basis state's energy in rad/s.  ``drive`` is
+    ``(upper, lower, coupling, freq_hz)``: the drive operator op has
+    ``op[upper, lower] = coupling`` and no other entry, and the generator
+    is ``diag + op exp(2j pi f t) + h.c.``.  A non-finite entry or
+    frequency, or pairs that share a basis state, are a ValueError.
     """
 
-    static: np.ndarray
-    periodic: tuple = ()
+    diagonal: np.ndarray
+    drive: tuple | None = None
+
+    def __post_init__(self):
+        diagonal = np.asarray(self.diagonal, dtype=float)
+        finite = np.isfinite(diagonal).all()
+        if self.drive is not None:
+            upper, lower, coupling, freq_hz = self.drive
+            upper, lower = np.asarray(upper, dtype=np.intp), np.asarray(lower, dtype=np.intp)
+            coupling = np.asarray(coupling, dtype=complex)
+            finite = finite and np.isfinite(coupling).all() and math.isfinite(freq_hz)
+            if len(set(upper.tolist()) | set(lower.tolist())) < 2 * upper.size:
+                raise ValueError("the drive must couple disjoint pairs of basis states")
+            object.__setattr__(self, "drive", (upper, lower, coupling, freq_hz))
+        if not finite:
+            raise ValueError("non-finite entry or drive frequency in the Hamiltonian")
+        object.__setattr__(self, "diagonal", diagonal)
 
     @property
     def is_static(self) -> bool:
-        return len(self.periodic) == 0
+        return self.drive is None
 
-    @cached_property
-    def static_diagonal(self):
-        """Diagonal of the static part, or None if it has off-diagonal terms."""
-        return _exact_diagonal(self.static)
-
-    @cached_property
-    def drive_pairs(self):
-        """The drive's ``(upper, lower, coupling, omega)``: ``op[upper, lower] = coupling``.
-
-        ``omega`` is 2 pi f.  Empty when static; a ValueError for more than
-        one periodic term or for pairs that are not disjoint."""
-        if len(self.periodic) > 1:
-            raise ValueError("exact evolution handles one periodic term")
-        op, freq_hz = self.periodic[0] if self.periodic else (np.zeros((0, 0), complex), 0.0)
-        upper, lower = np.nonzero(op)
-        if len(set(upper) | set(lower)) < 2 * upper.size:
-            raise ValueError("the periodic term must couple disjoint pairs of basis states")
-        return upper, lower, op[upper, lower], TWO_PI * freq_hz
+    @property
+    def static_diagonal(self) -> np.ndarray:
+        """The diagonal of the static part, which is the whole of it."""
+        return self.diagonal
 
     def matrix(self, t: float) -> np.ndarray:
-        h = np.array(self.static, dtype=complex)
-        for op, freq in self.periodic:
+        """The dense H(t), built on each call."""
+        h = np.diag(self.diagonal.astype(complex))
+        if self.drive is not None:
+            upper, lower, coupling, freq = self.drive
+            op = np.zeros_like(h)
+            op[upper, lower] = coupling
             phase = np.exp(2j * math.pi * freq * t)
             h += op * phase + op.conj().T * np.conjugate(phase)
         return h
@@ -273,61 +275,60 @@ def build_hamiltonian(
     """
     if mode not in ("off", "effective", "time_dependent"):
         raise ValueError(f"unknown Hamiltonian mode {mode!r}")
-    n = np.arange(basis.dim, dtype=float)
+    if mode != "off" and drive is None:
+        raise ValueError(f"{mode} mode requires a drive specification")
+    dim = basis.dim
+    n = np.arange(dim, dtype=float)
     kerr_part = 0.5 * params.kerr * n * (n - 1.0)
     pulls = (0.0, params.chi_e, params.chi_f, params.chi_h)
     diag = np.concatenate([pull * n + kerr_part for pull in pulls])
 
-    periodic = ()
+    pairs = None
     if mode == "effective":
-        if drive is None:
-            raise ValueError("effective mode requires a drive specification")
         if abs(drive.detuning) < drive.omega:
             raise ValueError(
                 "effective mode needs |detuning| >= drive amplitude; "
                 "use time_dependent mode closer to resonance"
             )
         shift = induced_chi(drive.omega, drive.detuning, 1)
-        dim = basis.dim
         diag[dim : 2 * dim] += shift * n
         diag[3 * dim : 4 * dim] += -shift * (n + 1.0)
     elif mode == "time_dependent":
-        if drive is None:
-            raise ValueError("time_dependent mode requires a drive specification")
-        coupling = np.kron(
-            TWO_PI * 0.5 * drive.omega * _ANCILLA.transition("e", "h"), basis.creation()
-        )
-        periodic = ((coupling, drive.detuning),)
+        # The sideband takes |h, n> to |e, n+1> with sqrt(n + 1) Omega / 2.
+        coupling = TWO_PI * 0.5 * drive.omega * np.sqrt(n[1:])
+        pairs = (np.arange(dim + 1, 2 * dim), np.arange(3 * dim, 4 * dim - 1),
+                 coupling.astype(complex), drive.detuning)
 
-    return HamiltonianSpec(static=np.diag((TWO_PI * diag).astype(complex)), periodic=periodic)
+    return HamiltonianSpec(TWO_PI * diag, pairs)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class CollapseChannel:
-    """Jump operator with its rate folded in, sqrt(rate) * L, stored as gather rows.
+    """Jump operator with its rate folded in, sqrt(rate) * L, as one gather slot per row.
 
-    Row j holds ``amplitude[j, s]`` in column ``source[j, s]`` for each
-    slot s (see ``_rows``).  The constructor takes the dense square
-    matrix, which ``operator`` rebuilds on each access.  ``product_diag``
-    is the diagonal of L+L (rate included) when that product is exactly
-    diagonal, which the trajectory engine relies on, and None otherwise.
+    Row j of L holds ``amplitude[j]`` in column ``source[j]`` and nothing
+    else; a zero row reads column 0.  L+L is therefore diagonal, and
+    ``product_diag`` is its diagonal (rate included).  The constructor
+    takes the dense square matrix, which ``operator`` rebuilds on each
+    access; a non-finite entry, or a row with more than one nonzero, is a
+    ValueError naming the label.
     """
 
     label: str
     source: np.ndarray
     amplitude: np.ndarray
     rate: float
-    product_diag: np.ndarray | None
+    product_diag: np.ndarray
 
     def __init__(self, label: str, operator, rate: float):
         mat = np.asarray(operator, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"channel {label!r} needs a square matrix, got shape {mat.shape}")
-        with np.errstate(invalid="ignore", over="ignore"):  # non-finite: _blocks' ValueError
-            diag = _exact_diagonal(mat.conj().T @ mat)
-        source, amplitude = _rows(mat)
-        self.__dict__.update(label=label, source=source, amplitude=amplitude, rate=rate,
-                             product_diag=None if diag is None else diag.real)
+        if not np.isfinite(mat).all():
+            raise ValueError(f"channel {label!r} has a non-finite entry")
+        if (np.count_nonzero(mat, axis=1) > 1).any():
+            raise ValueError(f"channel {label!r} has more than one nonzero entry in a row")
+        self._store(label, rate, *_slot(mat))
 
     @classmethod
     def _of_factors(cls, label: str, rate: float, ancilla, cavity):
@@ -335,24 +336,26 @@ class CollapseChannel:
 
         Row (i, n) reads column (source_A[i], source_C[n]) with amplitude
         sqrt(rate) (A_i C_n), the product np.kron forms, and a zero row
-        reads column 0, as in ``_rows``.  L+L is then |amplitude|^2 summed
-        by source.
+        reads column 0, as in ``_slot``.
         """
-        (a_source, a_amp), (c_source, c_amp) = _rows(ancilla), _rows(cavity)
-        amplitude = math.sqrt(rate) * (a_amp[:, None] * c_amp).reshape(-1, 1)
-        source = (a_source[:, None] * len(cavity) + c_source).reshape(-1, 1)
-        source = np.where(amplitude != 0.0, source, 0)
-        weights = (amplitude.real**2 + amplitude.imag**2).ravel()
+        (a_source, a_amp), (c_source, c_amp) = _slot(ancilla), _slot(cavity)
+        amplitude = math.sqrt(rate) * (a_amp[:, None] * c_amp).ravel()
+        source = (a_source[:, None] * len(cavity) + c_source).ravel()
         chan = cls.__new__(cls)
-        chan.__dict__.update(label=label, source=source, amplitude=amplitude, rate=rate,
-                             product_diag=np.bincount(source.ravel(), weights, len(source)))
+        chan._store(label, rate, np.where(amplitude != 0.0, source, 0), amplitude)
         return chan
+
+    def _store(self, label, rate, source, amplitude):
+        """Set the fields; L+L is |amplitude|^2 summed by source."""
+        weights = amplitude.real**2 + amplitude.imag**2
+        self.__dict__.update(label=label, source=source, amplitude=amplitude, rate=rate,
+                             product_diag=np.bincount(source, weights, len(source)))
 
     @property
     def operator(self) -> np.ndarray:
         """The dense matrix sqrt(rate) * L, rebuilt on each access."""
         mat = np.zeros((len(self.source),) * 2, dtype=complex)
-        np.put_along_axis(mat, self.source, self.amplitude, axis=1)
+        mat[np.arange(len(mat)), self.source] = self.amplitude
         return mat
 
 

@@ -15,7 +15,6 @@ instantaneous; decoherence acts during the wait and readout windows.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +41,7 @@ from .hilbert import (
 from .model import (
     DriveSpec,
     SystemParams,
+    _check_count,
     build_hamiltonian,
     cancellation_detuning,
     collapse_channels,
@@ -134,12 +134,6 @@ def _check_protocol(protocol: str) -> None:
 def _check_drive_mode(drive_mode: str) -> None:
     if drive_mode not in ("effective", "time_dependent"):
         raise ValueError(f"unknown drive mode {drive_mode!r}")
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """ValueError naming ``name`` unless ``value`` is an integer of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def map_duration(params: SystemParams, protocol: str) -> float:
@@ -586,8 +580,7 @@ def prepare_cat(
     ``PROBE_PROTOCOL`` map.  Retries up to ``max_attempts`` times; the
     result carries the last attempt's state either way.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
+    _check_count("max_attempts", max_attempts, 1)
     streams = RowStreams([rng])
     for attempt in range(1, max_attempts + 1):
         states, success = _herald_rows(params, basis, streams)

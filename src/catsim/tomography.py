@@ -25,7 +25,7 @@ from .hilbert import (
     joint_state,
     validate_state,
 )
-from .model import SystemParams
+from .model import SystemParams, _check_count
 from .protocols import _shot_outcomes
 
 __all__ = [
@@ -155,11 +155,10 @@ def simulate_tomography(
     full noise model, and scores +1 for a reported g.  The shots of all
     points run as rows of one batch that share ``rng``.  Values carry the
     finite readout contrast; divide by ``vacuum_contrast`` to compare
-    with exact scans.  Raises ValueError for fewer than one shot or a
-    non-finite displacement.
+    with exact scans.  Raises ValueError for a shot count that is not a
+    positive integer or for a non-finite displacement.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    _check_count("shots", shots, 1)
     betas = _finite_betas(betas)
     validate_state(state)
     block = np.asarray(state, dtype=complex).reshape(4, basis.dim)

@@ -41,9 +41,10 @@ def rk4_lab(rhs, y, t, duration, steps):
 
 def rk4_unitary(psi, ham, duration, t0):
     """Lab-frame RK4 of i psi' = H(t) psi, 50 steps per period of the fastest rate."""
-    scale = float(np.max(np.abs(ham.static)))
-    for op, freq in ham.periodic:
-        scale += 2.0 * float(np.max(np.sum(np.abs(op), axis=1))) + TWO_PI * abs(freq)
+    scale = float(np.max(np.abs(ham.diagonal)))
+    if ham.drive is not None:
+        _, _, coupling, freq = ham.drive
+        scale += 2.0 * float(np.max(np.abs(coupling), initial=0.0)) + TWO_PI * abs(freq)
     dt = min(duration / 10.0, 1.0 / (50.0 * scale / TWO_PI))
     steps = max(1, math.ceil(duration / dt))
     psi = rk4_lab(lambda vec, t: -1j * (ham.matrix(t) @ vec), psi, t0, duration, steps)

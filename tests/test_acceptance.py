@@ -113,7 +113,7 @@ def test_operator_identities():
     # With the drive folded in at the e-f matching point, swapping e and
     # f commutes with the whole Hamiltonian.
     drive_ft = DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))
-    ham_ft = build_hamiltonian(params, basis, mode="effective", drive=drive_ft).static
+    ham_ft = build_hamiltonian(params, basis, mode="effective", drive=drive_ft).matrix(0.0)
     swap_ef = np.kron(ketbra(1, 2), eye)
     ft_err = float(np.abs(ham_ft @ swap_ef - swap_ef @ ham_ft).max()) / float(
         np.abs(ham_ft).max()
@@ -122,7 +122,7 @@ def test_operator_identities():
 
     # Undriven interaction: a g-e coherence precesses at the dispersive
     # pull times the photon number; the Kerr term drops out.
-    ham = build_hamiltonian(params, basis).static
+    ham = build_hamiltonian(params, basis).matrix(0.0)
     hop_ge = np.kron(ketbra(0, 1), eye)
     target = -2.0 * math.pi * params.chi_e * np.kron(ketbra(0, 1), number)
     ge_err = float(np.abs(ham @ hop_ge - hop_ge @ ham - target).max()) / float(

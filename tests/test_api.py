@@ -48,6 +48,37 @@ def test_every_imported_name_is_used_or_exported(path):
     assert sorted(imported - used - exported) == []
 
 
+def test_every_private_top_level_name_is_referenced():
+    # The unused-definition half of the linter stand-in: a private
+    # function, class or constant at the top of a module must be read
+    # somewhere in src/, in its own module or through an import.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in pathlib.Path(catsim.__file__).parent.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{name}:{item}" for item in defined
+                       if item.startswith("_") and not item.startswith("__")
+                       and item not in referenced]
+    assert unread == []
+
+
 def test_cold_start_imports_no_scipy(tmp_path):
     # scipy's import is most of a fresh interpreter's start-up, so neither
     # importing catsim nor running any experiment may load it.

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from catsim import dynamics, model
+from catsim import dynamics
 
 from catsim.hilbert import CavityBasis, cat_state, coherent_state, joint_index, joint_state
 from catsim.model import (
@@ -41,9 +41,8 @@ from oracles import rk4_lindblad, rk4_unitary
 TWO_PI = 2.0 * math.pi
 
 
-def two_level_ham(matrix=None, periodic=()):
-    static = np.zeros((2, 2), dtype=complex) if matrix is None else matrix
-    return HamiltonianSpec(static=static, periodic=periodic)
+def two_level_ham(drive=None):
+    return HamiltonianSpec(np.zeros(2), drive)
 
 
 def decay_channel(rate, dim=2):
@@ -72,9 +71,7 @@ def test_unitary_diagonal_phase_oracle():
 
 def test_periodic_drive_resonant_rabi():
     omega = 2.0e6
-    op = np.zeros((2, 2), dtype=complex)
-    op[0, 1] = TWO_PI * omega / 2.0
-    ham = two_level_ham(periodic=((op, 0.0),))
+    ham = two_level_ham(([0], [1], [TWO_PI * omega / 2.0], 0.0))
     psi = np.array([0.0, 1.0], dtype=complex)
     out = evolve_unitary(psi, ham, 1.0 / (2.0 * omega))
     assert abs(out[0]) ** 2 == pytest.approx(1.0, abs=1e-4)
@@ -83,9 +80,7 @@ def test_periodic_drive_resonant_rabi():
 def test_periodic_drive_detuned_contrast():
     omega = 2.0e6
     detuning = 2.0e6
-    op = np.zeros((2, 2), dtype=complex)
-    op[0, 1] = TWO_PI * omega / 2.0
-    ham = two_level_ham(periodic=((op, detuning),))
+    ham = two_level_ham(([0], [1], [TWO_PI * omega / 2.0], detuning))
     psi = np.array([0.0, 1.0], dtype=complex)
     # sample the generalized Rabi cycle and find the max transfer
     rabi = math.hypot(omega, detuning)
@@ -697,12 +692,10 @@ def test_sectors_split_the_liouvillian_exactly(dim, mode):
 def test_sector_propagator_matches_the_dense_exponential_on_small_generators(data):
     d = data.draw(st.integers(2, 4), label="d")
     unit = st.floats(-1.0, 1.0)
-    static = np.diag(data.draw(st.lists(unit, min_size=d, max_size=d))).astype(complex)
-    periodic = ()
+    diagonal = data.draw(st.lists(unit, min_size=d, max_size=d))
+    drive = None
     if data.draw(st.booleans(), label="driven"):
-        pair = np.zeros((d, d), dtype=complex)
-        pair[0, 1] = data.draw(unit)
-        periodic = ((pair, data.draw(unit)),)
+        drive = ([0], [1], [data.draw(unit)], data.draw(unit))
     channels = []
     for _ in range(data.draw(st.integers(0, 3), label="channels")):
         # Each row reads at most one column, so L+L is diagonal.
@@ -712,7 +705,7 @@ def test_sector_propagator_matches_the_dense_exponential_on_small_generators(dat
             if col >= 0:
                 op[row, col] = data.draw(unit)
         channels.append(CollapseChannel("c", op, 1.0))
-    ham = HamiltonianSpec(static=static, periodic=periodic)
+    ham = HamiltonianSpec(diagonal, drive)
     try:
         sup = dynamics.liouvillian(ham, channels)
     except ValueError as err:
@@ -741,25 +734,9 @@ def test_sectors_match_forced_step_rk4_at_dim_20():
 
 
 def test_non_finite_generators_are_refused():
-    psi = np.array([0.6, 0.8j])
-    pair, coupled = np.zeros((2, 2, 2), dtype=complex)
-    pair[0, 1], coupled[0, 1] = np.nan, 1e6
-    inf_channel = CollapseChannel("c", np.array([[0.0, np.inf], [0.0, 0.0]], dtype=complex), 1.0)
-    cases = (
-        (two_level_ham(np.diag([np.nan, 0.0]).astype(complex)), ()),
-        (two_level_ham(periodic=((pair, 1e6),)), ()),
-        (two_level_ham(periodic=((coupled, np.nan),)), ()),
-        (two_level_ham(), (inf_channel,)),
-    )
-    for ham, channels in cases:
-        with pytest.raises(ValueError, match="non-finite"):
-            evolve_master(psi, ham, channels, 1e-6)
-        with pytest.raises(ValueError, match="non-finite"):
-            run_trajectory(psi, ham, channels, 1e-6, trajectory_rng(0))
-        if not channels:
-            with pytest.raises(ValueError, match="non-finite"):
-                evolve_unitary(psi, ham, 1e-6)
-    # The experiments build their drives through DriveSpec, which refuses them.
+    # No engine meets a non-finite generator: the constructors refuse one
+    # (test_model), and the experiments build their drives through
+    # DriveSpec, which refuses them.
     with pytest.raises(ValueError, match="finite numbers"):
         chevron_map(SystemParams(), [math.nan], [0.0, 1e-7])
     with pytest.raises(ValueError, match="finite numbers"):
@@ -780,52 +757,43 @@ def test_channels_of_the_wrong_shape_are_refused():
         run_trajectory(psi, two_level_ham(), (wide,), 1e-6, trajectory_rng(0))
 
 
-# Entries of random channels: zeros of either sign, cancelling signs and
-# non-finite values among them.
+# Entries of random channels: zeros of either sign and non-finite values
+# among them.
 _ENTRIES = st.sampled_from([1.0, -1.0, 0.5j, 1.0 + 1.0j, -0.25 + 2.0j, 1e-3, -0.0,
                             complex(-0.0, -0.0), np.nan, complex(0.0, np.nan), np.inf,
                             complex(0.0, -np.inf)])
 
 
-def dense_tables(mat):
-    """The gather tables _blocks read off a dense channel matrix by argsort."""
-    slots = max(1, int(np.count_nonzero(mat, axis=1).max()))
-    source = np.argsort(mat == 0.0, axis=1, kind="stable")[:, :slots]
-    return source, np.take_along_axis(mat, source, axis=1)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_channel_rows_round_trip_and_match_the_dense_tables(data):
+    # A row may hold one entry; two nonzeros in a row, or a non-finite
+    # entry, are refused by name.
     d = data.draw(st.integers(1, 8), label="d")
     mat = np.zeros((d, d), dtype=complex)
     for row in range(d):
-        for col in data.draw(st.lists(st.integers(0, d - 1), max_size=3, unique=True)):
+        for col in data.draw(st.lists(st.integers(0, d - 1), max_size=2, unique=True)):
             mat[row, col] = data.draw(_ENTRIES)
-    if d >= 2 and data.draw(st.booleans(), label="hadamard"):
-        # Two rows reading the same two columns, whose products cancel off
-        # the diagonal.
-        i, j = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
-        mat[:2] = mat[:, [i, j]] = 0.0
-        mat[0, [i, j]], mat[1, [i, j]] = (1.0, 1.0), (1.0, -1.0)
+    if not np.isfinite(mat).all():
+        with pytest.raises(ValueError, match="'c' has a non-finite entry"):
+            CollapseChannel("c", mat, 1.0)
+        return
+    if np.count_nonzero(mat, axis=1).max() > 1:
+        with pytest.raises(ValueError, match="'c' has more than one nonzero entry in a row"):
+            CollapseChannel("c", mat, 1.0)
+        return
     chan = CollapseChannel("c", mat, 1.0)
-    assert np.array_equal(chan.operator, mat, equal_nan=True)
-    source, amplitude = dense_tables(mat)
+    assert np.array_equal(chan.operator, mat)
+    # The argsort derivation the gather rows replace: each row's first
+    # nonzero column, or column 0.
+    source = np.argsort(mat == 0.0, axis=1, kind="stable")[:, 0]
+    amplitude = mat[np.arange(d), source]
     assert chan.source.tobytes() == source.tobytes()
     assert chan.amplitude.tobytes() == amplitude.tobytes()
-    ham = HamiltonianSpec(static=np.zeros((d, d), dtype=complex))
-    if not np.isfinite(mat).all():
-        with pytest.raises(ValueError, match="non-finite"):
-            dynamics._blocks(ham, (chan,))
-        return
-    expected = model._exact_diagonal(mat.conj().T @ mat)
-    if expected is None:
-        assert chan.product_diag is None
-        with pytest.raises(ValueError, match="product to be diagonal"):
-            dynamics._blocks(ham, (chan,))
-        return
-    assert chan.product_diag.tobytes() == expected.real.tobytes()
-    blocks = dynamics._blocks(ham, (chan,))
+    product = mat.conj().T @ mat
+    assert np.count_nonzero(product - np.diag(np.diagonal(product))) == 0
+    assert np.allclose(chan.product_diag, np.diagonal(product).real, rtol=1e-15, atol=0.0)
+    blocks = dynamics._blocks(HamiltonianSpec(np.zeros(d)), (chan,))
     assert blocks.source[0].tobytes() == source.tobytes()
     assert blocks.amplitude[0].tobytes() == amplitude.tobytes()
 
@@ -987,25 +955,12 @@ def test_jumps_gather_the_dense_product_bit_for_bit(dim, drive_on):
     ham = build_hamiltonian(params, basis, mode=mode, drive=drive)
     channels = collapse_channels(params, basis, drive_on=drive_on)
     blocks = dynamics._blocks(ham, channels)
-    assert blocks.source.shape == (len(channels), 4 * dim, 1)
+    assert blocks.source.shape == (len(channels), 4 * dim)
     picks = np.repeat(np.arange(len(channels)), 3)
     psi = random_rows(np.random.default_rng(dim), len(picks), 4 * dim)
     got = blocks.jump(psi, picks)
     for row, idx in enumerate(picks):
         assert got[row].tobytes() == (psi[row] @ channels[idx].operator.T).tobytes()
-
-
-def test_jumps_gather_operators_with_several_entries_per_row():
-    # L+L is diagonal for these operators, though a row of L reads two
-    # columns; the gather sums one slot per entry.
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    chans = (CollapseChannel("h", hadamard, 2.0), decay_channel(1.0))
-    blocks = dynamics._blocks(two_level_ham(), chans)
-    assert blocks.source.shape == (2, 2, 2)
-    psi = random_rows(np.random.default_rng(1), 4, 2)
-    picks = np.array([0, 1, 0, 1])
-    expected = np.array([p @ chans[i].operator.T for p, i in zip(psi, picks)])
-    assert np.max(np.abs(blocks.jump(psi, picks) - expected)) <= 1e-15
 
 
 def test_jump_times_run_on_the_clock_t0_starts():
@@ -1029,15 +984,12 @@ def test_jump_times_run_on_the_clock_t0_starts():
 
 
 def test_diagonal_caches_mark_exact_structure():
-    diag = np.array([1.0, -2.0, 3.0], dtype=complex)
-    assert np.array_equal(HamiltonianSpec(static=np.diag(diag)).static_diagonal, diag)
-    coupled = np.diag(diag)
-    coupled[0, 2] = coupled[2, 0] = 1e-30
-    assert HamiltonianSpec(static=coupled).static_diagonal is None
-    # sigma_- has a diagonal L+L; sigma_x does not.
+    diag = np.array([1.0, -2.0, 3.0])
+    ham = HamiltonianSpec(diag)
+    assert ham.is_static and np.array_equal(ham.static_diagonal, diag)
+    assert not HamiltonianSpec(diag, ([0], [1], [1.0], 0.0)).is_static
+    # sigma_- reads one column per row, so its L+L is diagonal.
     assert np.array_equal(decay_channel(4.0).product_diag, [0.0, 4.0])
-    flip = CollapseChannel("flip", np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex), 1.0)
-    assert flip.product_diag is None
 
 
 def test_chevron_resonant_full_contrast_at_sideband_rate():
@@ -1122,9 +1074,9 @@ def driven(dim, delta):
 
 def frame_generator(ham, channels=()):
     """Dense H' - (i/2) sum L+L and the frame's projector diagonal."""
-    (op, freq), = ham.periodic
-    sources = np.any(op != 0.0, axis=0).astype(float)
-    gen = ham.static - TWO_PI * freq * np.diag(sources) + op + op.conj().T
+    _, lower, _, freq = ham.drive
+    sources = np.isin(np.arange(len(ham.diagonal)), lower).astype(float)
+    gen = ham.matrix(0.0) - TWO_PI * freq * np.diag(sources)
     for chan in channels:
         gen = gen - 0.5j * chan.operator.conj().T @ chan.operator
     return gen, sources
@@ -1143,7 +1095,7 @@ def test_block_propagator_matches_expm(dim, delta):
     # engine's frame also turns |h, dim-1>, so both sides are compared in
     # the lab frame, where the no-jump evolution does not depend on it.
     ham, channels = driven(dim, delta)
-    omega = TWO_PI * ham.periodic[0][1]
+    omega = TWO_PI * ham.drive[3]
     psi = random_rows(np.random.default_rng(dim), 3, 4 * dim)
     times = np.array([5e-8, 4e-7, 2.1e-6])
     for chans in ((), channels):
@@ -1161,9 +1113,7 @@ def test_block_propagator_at_exceptional_point():
     # the difference of the amplitude decay rates: the block's eigenvalues
     # merge, s = 0, and sinh(s t)/s must come from its limit.
     for coupling in (1.0e6, 1.0e6 * (1.0 + 1e-9), 1.0e6 * (1.0 - 1e-9)):
-        op = np.zeros((2, 2), dtype=complex)
-        op[0, 1] = coupling
-        ham = two_level_ham(periodic=((op, 0.0),))
+        ham = two_level_ham(([0], [1], [coupling], 0.0))
         chan = decay_channel(4.0e6)
         blocks = dynamics._blocks(ham, (chan,))
         half = 0.5 * (blocks.freq[0] - blocks.freq[1])
@@ -1195,7 +1145,7 @@ def test_unitary_frame_phase_follows_t0():
     # cannot change its end.
     ham, _ = driven(6, DRIVE_DETUNINGS[1])
     gen, sources = frame_generator(ham)
-    omega = TWO_PI * ham.periodic[0][1]
+    omega = TWO_PI * ham.drive[3]
     psi = random_rows(np.random.default_rng(3), 1, 24)[0]
     t0, duration = 4e-7, 1.1e-6
     enter = np.exp(1j * omega * t0 * sources)
@@ -1333,44 +1283,21 @@ def test_time_dependent_ensemble_matches_master():
 
 
 def test_generators_outside_the_block_structure_are_rejected():
+    # A drive off disjoint pairs, or a channel row reading two columns,
+    # cannot be built (test_model).
     psi = np.array([1.0, 0.0, 0.0], dtype=complex)
-    coupled = np.zeros((3, 3), dtype=complex)
-    coupled[0, 1] = coupled[1, 0] = 1e6
-    with pytest.raises(ValueError, match="diagonal static"):
-        evolve_unitary(psi, HamiltonianSpec(static=coupled), 1e-6)
-    fan = np.zeros((3, 3), dtype=complex)
-    fan[0, 1] = fan[0, 2] = 1e6
-    zero = np.zeros((3, 3), dtype=complex)
-    with pytest.raises(ValueError, match="disjoint pairs"):
-        evolve_unitary(psi, HamiltonianSpec(static=zero, periodic=((fan, 1e6),)), 1e-6)
-    chain = np.zeros((3, 3), dtype=complex)
-    chain[0, 1] = chain[1, 2] = 1e6
-    with pytest.raises(ValueError, match="disjoint pairs"):
-        evolve_unitary(psi, HamiltonianSpec(static=zero, periodic=((chain, 1e6),)), 1e-6)
-    pair = np.zeros((3, 3), dtype=complex)
-    pair[0, 1] = 1e6
-    for periodic, message in (
-        (((fan, 1e6),), "disjoint pairs"),
-        (((chain, 1e6),), "disjoint pairs"),
-        (((pair, 1e6), (pair, 2e6)), "one periodic term"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            evolve_master(psi, HamiltonianSpec(static=zero, periodic=periodic), (), 1e-6)
     # The drive takes |1> to |0>, so the frame turns |1> but not |0>; a
     # channel that swaps them, or that both keeps |1> and takes it to
     # |0>, then picks up more than a global phase in any frame.
     swap, mix = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
     swap[0, 1] = swap[1, 0] = mix[1, 1] = mix[0, 1] = 1.0
-    driven_pair = HamiltonianSpec(static=zero, periodic=((pair, 1e6),))
+    driven_pair = HamiltonianSpec(np.zeros(3), ([0], [1], [1e6], 1e6))
     for op in (swap, mix):
         chan = CollapseChannel("c", op, 1.0)
         with pytest.raises(ValueError, match="no frame"):
             evolve_master(psi, driven_pair, (chan,), 1e-6)
         with pytest.raises(ValueError, match="no frame"):
             run_trajectory(psi, driven_pair, (chan,), 1e-6, trajectory_rng(0))
-    flip = CollapseChannel("flip", np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex), 1.0)
-    with pytest.raises(ValueError, match="product to be diagonal"):
-        run_trajectory(psi[:2], two_level_ham(), (flip,), 1e-6, trajectory_rng(0))
 
 
 def test_block_structure_is_built_once_per_hamiltonian_and_channels():

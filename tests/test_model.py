@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from catsim.hilbert import CavityBasis, cat_state, joint_index, joint_state
+from catsim.hilbert import AncillaBasis, CavityBasis, cat_state, joint_index, joint_state
 from catsim.model import (
     CollapseChannel,
     DriveSpec,
@@ -164,8 +164,8 @@ def test_static_hamiltonian_entries(params):
     basis = CavityBasis(dim=8)
     ham = build_hamiltonian(params, basis)
     assert ham.is_static
-    diag = np.diagonal(ham.static).real
-    assert np.allclose(np.diagonal(ham.static).imag, 0.0)
+    diag = ham.diagonal
+    assert diag.dtype == float and diag is ham.static_diagonal
     # (e, 2): chi_e * 2 + kerr/2 * 2 * 1
     idx = joint_index("e", 2, basis.dim)
     assert diag[idx] == pytest.approx(TWO_PI * (2 * -93e3 + -10.0), rel=1e-12)
@@ -181,7 +181,7 @@ def test_effective_mode_at_cancellation(params):
     basis = CavityBasis(dim=10)
     drive = DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))
     ham = build_hamiltonian(params, basis, mode="effective", drive=drive)
-    diag = np.diagonal(ham.static).real
+    diag = ham.diagonal
     dim = basis.dim
     # dressed e pull equals the f pull for every photon number
     assert np.allclose(diag[dim : 2 * dim], diag[2 * dim : 3 * dim], atol=1e-4)
@@ -208,13 +208,13 @@ def test_time_dependent_mode_coupling(params):
     drive = DriveSpec(1.7e6, -5.0e6)
     ham = build_hamiltonian(params, basis, mode="time_dependent", drive=drive)
     assert not ham.is_static
-    (op, freq), = ham.periodic
+    upper, lower, coupling, freq = ham.drive
     assert freq == -5.0e6
     # couples |h, n> to |e, n+1> with sqrt(n+1) scaling
-    row = joint_index("e", 2, basis.dim)
-    col = joint_index("h", 1, basis.dim)
-    assert op[row, col] == pytest.approx(TWO_PI * 0.5 * 1.7e6 * math.sqrt(2), rel=1e-12)
-    assert np.count_nonzero(op) == basis.dim - 1
+    pair = list(zip(upper, lower)).index((joint_index("e", 2, basis.dim),
+                                          joint_index("h", 1, basis.dim)))
+    assert coupling[pair] == pytest.approx(TWO_PI * 0.5 * 1.7e6 * math.sqrt(2), rel=1e-12)
+    assert len(upper) == len(lower) == np.count_nonzero(coupling) == basis.dim - 1
     # full matrix at t flips the phase as expected and stays hermitian
     h_t = ham.matrix(1.3e-7)
     assert np.allclose(h_t, h_t.conj().T, atol=1e-6)
@@ -299,12 +299,52 @@ def test_dephasing_pair_rate_matches_lifetimes(params):
     assert rate == pytest.approx(1 / 81e-6 + 1 / 17e-6, rel=1e-12)
 
 
-def test_static_diagonal_tests_only_the_off_diagonal_entries():
-    # A NaN on the diagonal is a diagonal matrix with a non-finite entry,
-    # not an off-diagonal term; a NaN off the diagonal is a coupling.
-    on = HamiltonianSpec(static=np.diag([np.nan, 0.0]).astype(complex))
-    diag = on.static_diagonal
-    assert diag is not None and np.isnan(diag[0]) and diag[1] == 0.0
-    off = np.zeros((2, 2), dtype=complex)
-    off[0, 1] = np.nan
-    assert HamiltonianSpec(static=off).static_diagonal is None
+@pytest.mark.parametrize("dim", [1, 2, 20, 40])
+@pytest.mark.parametrize("mode", ["off", "effective", "time_dependent"])
+def test_matrix_is_the_dense_construction_bit_for_bit(params, mode, dim):
+    # The lab-frame oracle steps matrix(t), so it must be the dense H(t)
+    # built independently here: np.diag of the diagonal plus the np.kron
+    # drive of transition("e", "h") and creation().
+    basis = CavityBasis(dim)
+    drive = DriveSpec(params.omega_sb, cancellation_detuning(params, "zero_chi_fe"))
+    ham = build_hamiltonian(params, basis, mode=mode, drive=None if mode == "off" else drive)
+    n = np.arange(dim, dtype=float)
+    kerr = 0.5 * params.kerr * n * (n - 1.0)
+    diag = np.concatenate([pull * n + kerr for pull in (0.0, params.chi_e, params.chi_f,
+                                                        params.chi_h)])
+    if mode == "effective":
+        shift = induced_chi(drive.omega, drive.detuning, 1)
+        diag[dim: 2 * dim] += shift * n
+        diag[3 * dim:] += -shift * (n + 1.0)
+    static = np.diag((TWO_PI * diag).astype(complex))
+    ladder = AncillaBasis().transition("e", "h")
+    op = np.kron(TWO_PI * 0.5 * drive.omega * ladder, basis.creation())
+    for t in (0.0, 1.3e-7, 2.9e-6):
+        expected = np.array(static, dtype=complex)
+        if mode == "time_dependent":
+            phase = np.exp(2j * math.pi * drive.detuning * t)
+            expected += op * phase + op.conj().T * np.conjugate(phase)
+        assert ham.matrix(t).tobytes() == expected.tobytes()
+
+
+def test_constructors_refuse_what_the_engines_cannot_run():
+    # Each refusal happens when the structure is built, not when it runs.
+    none = np.zeros(0, dtype=int)
+    for diagonal, drive in (
+        ([np.nan, 0.0], None),
+        ([0.0, np.inf], None),
+        ([0.0, 0.0], ([0], [1], [np.nan], 1e6)),
+        ([0.0, 0.0], ([0], [1], [1e6], np.nan)),
+        ([0.0, 0.0], (none, none, none, np.inf)),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            HamiltonianSpec(diagonal, drive)
+    for upper, lower in (([0, 0], [1, 2]), ([0, 1], [1, 2]), ([0], [0])):
+        with pytest.raises(ValueError, match="disjoint pairs"):
+            HamiltonianSpec(np.zeros(3), (upper, lower, [1e6] * len(upper), 1e6))
+    for op in ([[1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [1.0, 1e-300]]):
+        with pytest.raises(ValueError, match="'two' has more than one nonzero entry in a row"):
+            CollapseChannel("two", op, 1.0)
+    for op in ([[0.0, np.nan], [0.0, 0.0]], [[complex(0.0, -np.inf), 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="'bad' has a non-finite entry"):
+            CollapseChannel("bad", op, 1.0)
