@@ -282,6 +282,8 @@ def phase_kick_monte_carlo(
         else (TWO_PI * e.delta_chi * e.window[0], TWO_PI * e.delta_chi * e.window[1])
         for e in events
     ]).reshape(-1, 2)
+    # Generator.uniform(low, high) draws low + (high - low) u, one double per kick.
+    low, span = ranges[:, 0], ranges[:, 1] - ranges[:, 0]
 
     ns = np.arange(1, n_max + 1)
     means = np.empty(len(ns))
@@ -289,12 +291,12 @@ def phase_kick_monte_carlo(
     for k, n in enumerate(ns):
         counts = rng.binomial(n, min(total, 1.0), size=trials)
         occurrences = int(counts.sum())
-        # The last event absorbs a draw past the cumulative sum's round-off.
-        which = np.minimum(
-            np.searchsorted(cumulative, total * rng.random(occurrences), side="right"),
-            len(events) - 1,
-        )
-        kicks = rng.uniform(ranges[which, 0], ranges[which, 1])
+        # Each draw's event is the count of cumulative sums at or below it
+        # (searchsorted's right side); the last event absorbs a draw past
+        # the cumulative sum's round-off.
+        draws = total * rng.random(occurrences)
+        which = np.minimum((cumulative[:, None] <= draws).sum(axis=0), len(events) - 1)
+        kicks = low[which] + span[which] * rng.random(occurrences)
         owner = np.repeat(np.arange(trials), counts)
         overlap = cat_overlap(np.bincount(owner, weights=kicks, minlength=trials))
         means[k] = overlap.mean()

@@ -177,7 +177,8 @@ class HamiltonianSpec:
     ``(upper, lower, coupling, freq_hz)``: the drive operator op has
     ``op[upper, lower] = coupling`` and no other entry, and the generator
     is ``diag + op exp(2j pi f t) + h.c.``.  A non-finite entry or
-    frequency, or pairs that share a basis state, are a ValueError.
+    frequency, an index outside the diagonal, or pairs that share a basis
+    state, are a ValueError.
     """
 
     diagonal: np.ndarray
@@ -191,6 +192,9 @@ class HamiltonianSpec:
             upper, lower = np.asarray(upper, dtype=np.intp), np.asarray(lower, dtype=np.intp)
             coupling = np.asarray(coupling, dtype=complex)
             finite = finite and np.isfinite(coupling).all() and math.isfinite(freq_hz)
+            indices = np.concatenate([upper.ravel(), lower.ravel()])
+            if ((indices < 0) | (indices >= len(diagonal))).any():
+                raise ValueError(f"drive indices must lie in [0, {len(diagonal)})")
             if len(set(upper.tolist()) | set(lower.tolist())) < 2 * upper.size:
                 raise ValueError("the drive must couple disjoint pairs of basis states")
             object.__setattr__(self, "drive", (upper, lower, coupling, freq_hz))

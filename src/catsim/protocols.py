@@ -39,13 +39,14 @@ from .hilbert import (
     validate_state,
 )
 from .model import (
+    CollapseChannel,
     DriveSpec,
     SystemParams,
     _check_count,
+    _factors,
     build_hamiltonian,
     cancellation_detuning,
     collapse_channels,
-    error_operator,
 )
 
 __all__ = [
@@ -242,9 +243,11 @@ def _map_rows(stack, params, protocol, basis, streams, drive_mode="effective", i
               log=None):
     """``parity_map`` on a (rows, 4, dim) stack; without streams the wait is unitary.
 
-    Each injected error strikes every row at its fraction of the wait, and
-    each span starts at its offset into the wait, where a drive's phase
-    stands.  A list ``log`` takes the jumps as ``dynamics._trajectory_rows``
+    Each injected error strikes every row at its fraction of the wait, as
+    a gather through the one-slot rows of its operator (``_Blocks.jump``'s
+    product, equal to the dense ``error_operator`` product bit for bit),
+    and each span starts at its offset into the wait, where a drive's
+    phase stands.  A list ``log`` takes the jumps as ``dynamics._trajectory_rows``
     logs them, timed from the wait start.  The rows must be unit vectors;
     a stochastic wait without errors runs them through the engine unchecked.
     """
@@ -269,7 +272,8 @@ def _map_rows(stack, params, protocol, basis, streams, drive_mode="effective", i
             flat = _run_rows(flat, ham, channels, t_target - t_done, streams, t_done, log)
         t_done = t_target
         if err is not None:
-            flat = flat @ error_operator(err.name, basis).T
+            error = CollapseChannel._of_factors(err.name, 1.0, *_factors(err.name, basis))
+            flat = flat.take(error.source, axis=1) * error.amplitude + 0.0
             norms = np.linalg.norm(flat, axis=1, keepdims=True)
             if np.any(norms < 1e-12):
                 raise ValueError(f"injected error {err.name!r} annihilated the state")

@@ -23,6 +23,7 @@ from .hilbert import (
     cat_state,
     fock_state,
     joint_state,
+    validate_density,
     validate_state,
 )
 from .model import SystemParams, _check_count
@@ -89,16 +90,21 @@ def square_grid(n: int = 21, extent: float = 2.5) -> np.ndarray:
 def wigner_scan(rho_cavity: np.ndarray, betas) -> WignerGrid:
     """Exact Wigner values of a cavity state on a grid of displacements.
 
-    The truncated space is the state's own; the values are
-    Re Tr[O(beta) rho] with the observables that ``mle_reconstruct`` fits,
-    taken block by block from ``_observable_blocks``, so the whole
-    (K, dim*dim) observable matrix is never held.  Raises ValueError unless
-    the state is a unit vector or a density matrix and every displacement
-    is finite.
+    The truncated space is the state's own, and the state's shape picks
+    the path.  A unit vector is scanned by ``_vector_values`` at O(dim^2)
+    per point.  A density matrix gives Re Tr[O(beta) rho] with the
+    observables that ``mle_reconstruct`` fits, taken block by block from
+    ``_observable_blocks``, so the whole (K, dim*dim) observable matrix is
+    never held.  Raises ValueError unless the state is a unit vector or a
+    density matrix and every displacement is finite.
     """
     betas = _finite_betas(betas)
-    rho = as_density(rho_cavity)
-    dim = rho.shape[0]
+    state = np.asarray(rho_cavity, dtype=complex)
+    if state.ndim == 1:
+        validate_state(state)
+    else:
+        validate_density(state)
+    dim = state.shape[0]
     # Amplitude bound inside which a truncated Wigner value is trustworthy.
     radius = math.sqrt(dim / 4.0)
     if np.any(np.abs(betas) > radius):
@@ -107,11 +113,37 @@ def wigner_scan(rho_cavity: np.ndarray, betas) -> WignerGrid:
             f"trusted region at dim {dim}; edge values are approximate",
             stacklevel=2,
         )
-    coordinates = _coordinates(rho)
-    values = np.empty(len(betas))
-    for rows, block in _observable_blocks(betas, dim):
-        values[rows] = block @ coordinates
+    if state.ndim == 1:
+        values = _vector_values(state, betas)
+    else:
+        coordinates = _coordinates(state)
+        values = np.empty(len(betas))
+        for rows, block in _observable_blocks(betas, dim):
+            values[rows] = block @ coordinates
     return WignerGrid(betas=betas, values=values, shots=np.zeros(len(betas), dtype=int))
+
+
+def _vector_values(psi: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Wigner values of the unit vector ``psi``, ``_BLOCK_ROWS`` points at a time.
+
+    With D(beta) P D(beta)+ = D(2 beta) P (see ``_observable_matrix``),
+    D = R V e^{i r Lambda} V+ R+ for beta = r e^{i phi} and R = e^{i phi n}
+    (see ``CavityBasis.displacement``), W(beta) is
+    (2/pi) Re sum_l e^{2 i r lambda_l} conj(a_l) c_l with a = V+ R+ psi and
+    c = V+ R+ P psi: two (rows, dim) by (dim, dim) products and a row sum.
+    """
+    vals, vecs = CavityBasis(len(psi))._quadrature_eigh
+    n = np.arange(len(psi))
+    flipped = psi * (1.0 - 2.0 * (n % 2))
+    values = np.empty(len(betas))
+    for start in range(0, len(betas), _BLOCK_ROWS):
+        chunk = betas[start:start + _BLOCK_ROWS]
+        turn = np.exp(-1j * np.outer(np.angle(chunk), n))
+        a = (turn * psi) @ vecs.conj()
+        c = (turn * flipped) @ vecs.conj()
+        terms = np.exp(2j * np.outer(np.abs(chunk), vals)) * a.conj() * c
+        values[start:start + len(chunk)] = TWO_OVER_PI * terms.real.sum(axis=1)
+    return values
 
 
 def _finite_betas(betas) -> np.ndarray:
@@ -195,22 +227,48 @@ def normalize_grid(grid: WignerGrid, contrast: float) -> WignerGrid:
 _triu = lru_cache(maxsize=None)(np.triu_indices)
 
 
+@lru_cache(maxsize=None)
+def _coordinate_maps(dim: int):
+    """Index maps between a dim x dim complex matrix's float view and its coordinates.
+
+    ``pick`` and ``scale`` gather the coordinates from the 2 dim^2 floats;
+    ``source`` and ``weight`` rebuild every float from a coordinate: the
+    real part of an entry and its mirror from the Re coordinate, their
+    imaginary parts from the Im coordinate with opposite signs, and a
+    diagonal imaginary part as zero.
+    """
+    upper_i, upper_j = _triu(dim, 1)
+    diag = np.arange(dim) * (dim + 1)
+    upper, lower = upper_i * dim + upper_j, upper_j * dim + upper_i
+    re = np.arange(dim, dim + len(upper))
+    im = re + len(upper)
+    root = math.sqrt(2.0)
+    pick = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+    scale = np.concatenate([np.ones(dim), np.full(2 * len(upper), root)])
+    source = np.zeros(2 * dim * dim, dtype=np.intp)
+    weight = np.zeros(2 * dim * dim)
+    source[2 * diag], weight[2 * diag] = np.arange(dim), 1.0
+    for slot, index, sign in ((2 * upper, re, 1.0), (2 * lower, re, 1.0),
+                              (2 * upper + 1, im, 1.0), (2 * lower + 1, im, -1.0)):
+        source[slot], weight[slot] = index, sign / root
+    return pick, scale, source, weight
+
+
 def _coordinates(mat: np.ndarray) -> np.ndarray:
     """Real coordinates of a dim x dim Hermitian matrix, a vector of dim*dim.
 
     The diagonal, then sqrt(2) Re and sqrt(2) Im of the upper triangle:
     orthonormal, so Re Tr[X Y] is the dot product of the coordinates.
+    One gather on the float view; the lower triangle is not read.
     """
-    upper = math.sqrt(2.0) * mat[_triu(len(mat), 1)]
-    return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
+    pick, scale, _, _ = _coordinate_maps(len(mat))
+    return np.asarray(mat, dtype=complex).ravel().view(float)[pick] * scale
 
 
 def _from_coordinates(x: np.ndarray, dim: int) -> np.ndarray:
     """The Hermitian matrix with coordinates ``x`` (inverse of ``_coordinates``)."""
-    split = (dim * dim + dim) // 2
-    upper = np.zeros((dim, dim), dtype=complex)
-    upper[_triu(dim, 1)] = (x[dim:split] + 1j * x[split:]) / math.sqrt(2.0)
-    return upper + upper.conj().T + np.diag(x[:dim])
+    _, _, source, weight = _coordinate_maps(dim)
+    return (x[source] * weight).view(complex).reshape(dim, dim)
 
 
 def _observable_blocks(betas: np.ndarray, dim: int):
@@ -254,23 +312,22 @@ def _observable_matrix(betas: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _project_density(mat: np.ndarray) -> np.ndarray:
-    """Nearest physical state in Frobenius norm.
+    """Nearest physical state in Frobenius norm to the Hermitian ``mat``.
 
     Eigenvalues are renormalized to unit sum by a common shift and
     clipped at zero (the Euclidean projection of the spectrum onto the
     probability simplex); a plain rescale would not be a projection and
-    stalls the gradient iteration.
+    stalls the gradient iteration.  ``eigh`` reads the lower triangle and
+    returns the values ascending; the k largest stay positive after the
+    shift, so the state is rebuilt from their eigenvectors alone.
     """
-    herm = 0.5 * (mat + mat.conj().T)
-    vals, vecs = np.linalg.eigh(herm)
-    desc = np.sort(vals)[::-1]
+    vals, vecs = np.linalg.eigh(mat)
+    desc = vals[::-1]
     cumulative = np.cumsum(desc) - 1.0
-    ranks = np.arange(1, len(desc) + 1)
-    support = desc - cumulative / ranks > 0
-    k = int(np.nonzero(support)[0][-1]) + 1
-    shift = cumulative[k - 1] / k
-    clipped = np.clip(vals - shift, 0.0, None)
-    return (vecs * clipped) @ vecs.conj().T
+    support = desc - cumulative / np.arange(1, len(desc) + 1) > 0
+    k = int(np.flatnonzero(support)[-1]) + 1
+    top = vecs[:, -k:]
+    return (top * (vals[-k:] - cumulative[k - 1] / k)) @ top.conj().T
 
 
 def mle_reconstruct(
@@ -330,15 +387,18 @@ def mle_reconstruct(
 
     def descend(x, predicted):
         # Shrinks L, then doubles it until the curvature |A d|^2 / |d|^2
-        # along the step d is within L / 2.
+        # along the step d, taken by dot products, is within L / 2.  The
+        # residual, which decides restarts and stops, keeps np.sum's
+        # pairwise order: a dot product rounds it differently, enough to
+        # move where a noisy fit stops.
         nonlocal lipschitz
         grad = 2.0 * (obs.T @ (predicted - target))
         lipschitz *= 0.9
         while True:
             new = _coordinates(_project_density(_from_coordinates(x - grad / lipschitz, dim)))
             new_pred = obs @ new
-            bound = 0.5 * lipschitz * (1.0 + 1e-9) * np.sum((new - x) ** 2)
-            if np.sum((new_pred - predicted) ** 2) <= bound:
+            step, moved = new - x, new_pred - predicted
+            if moved @ moved <= 0.5 * lipschitz * (1.0 + 1e-9) * (step @ step):
                 return new, new_pred, float(np.sum((new_pred - target) ** 2))
             lipschitz *= 2.0
 

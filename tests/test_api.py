@@ -1,6 +1,6 @@
 """Every name a module exports exists, once; every name a module imports
 is used or exported; the runtime needs numpy only; the benchmark's tracer
-finds every name it wraps."""
+finds every name it wraps; np.kron appears only at named sites."""
 
 import ast
 import importlib
@@ -77,6 +77,43 @@ def test_every_private_top_level_name_is_referenced():
                        if item.startswith("_") and not item.startswith("__")
                        and item not in referenced]
     assert unread == []
+
+
+# Every function in src/ that forms an np.kron product, either itself or
+# through one of the dense joint-operator builders below.  A Hamiltonian,
+# a jump channel and an injected error are stored in the structure the
+# engines run on, so a new site is a dense (4 dim)^2 matrix where a
+# gather would do.
+DENSE_BUILDERS = {"error_operator", "lift_ancilla", "lift_cavity"}
+KRON_SITES = {
+    "dynamics.liouvillian",
+    "dynamics.ramsey_t2",
+    "hilbert.joint_state",
+    "hilbert.lift_ancilla",
+    "hilbert.lift_cavity",
+    "model.error_operator",
+    "protocols._repeated_parity_master",
+}
+
+
+def test_np_kron_appears_only_at_its_named_sites():
+    sites = set()
+    for path in pathlib.Path(catsim.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        methods = {id(item): f"{node.name}.{item.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body
+                   if isinstance(item, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                func = getattr(call, "func", None)
+                kron = (isinstance(func, ast.Attribute) and func.attr == "kron"
+                        and getattr(func.value, "id", None) == "np")
+                builder = getattr(func, "id", getattr(func, "attr", None)) in DENSE_BUILDERS
+                if kron or builder:
+                    sites.add(f"{path.stem}.{methods.get(id(node), node.name)}")
+    assert sites == KRON_SITES
 
 
 def test_cold_start_imports_no_scipy(tmp_path):

@@ -342,6 +342,11 @@ def test_constructors_refuse_what_the_engines_cannot_run():
     for upper, lower in (([0, 0], [1, 2]), ([0, 1], [1, 2]), ([0], [0])):
         with pytest.raises(ValueError, match="disjoint pairs"):
             HamiltonianSpec(np.zeros(3), (upper, lower, [1e6] * len(upper), 1e6))
+    # An index past the end failed later, in the engine, and a negative
+    # one wrapped round to the end.
+    for upper, lower in (([0], [3]), ([7], [1]), ([-1], [1]), ([0, 1], [2, -3])):
+        with pytest.raises(ValueError, match=r"drive indices must lie in \[0, 3\)"):
+            HamiltonianSpec(np.zeros(3), (upper, lower, [1e6] * len(upper), 1e6))
     for op in ([[1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [1.0, 1e-300]]):
         with pytest.raises(ValueError, match="'two' has more than one nonzero entry in a row"):
             CollapseChannel("two", op, 1.0)

@@ -353,6 +353,40 @@ def test_parity_map_is_a_row_of_the_batched_map(basis20, even_cat):
     assert stochastic > 0
 
 
+ERROR_NAMES = ("cavity_loss", "relax_eg", "relax_fe", "dephase_g", "dephase_e", "dephase_f",
+               "thermal_ge", "thermal_fh", "flip_ge", "flip_gf")
+
+
+def random_rows(rows, dim, seed):
+    """A (rows, 4, dim) stack of random unit rows, which no error annihilates."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(rows, 4, dim)) + 1j * rng.normal(size=(rows, 4, dim))
+    return stack / np.linalg.norm(stack.reshape(rows, -1), axis=1)[:, None, None]
+
+
+@pytest.mark.parametrize("name", ERROR_NAMES)
+def test_injected_errors_match_the_dense_product_bit_for_bit(name):
+    # The unitary map with one injected error, composed here with the
+    # dense error_operator product in place of the gather, mid-wait and at
+    # the end of the wait, where no span follows the error.
+    params, basis = SystemParams(), CavityBasis(8)
+    stack = random_rows(5, basis.dim, 4)
+    for protocol, drive_mode in (("gf", "effective"), ("ft", "time_dependent")):
+        ham, _ = protocols._map_context(params, basis, protocol, drive_mode)
+        wait = map_duration(params, protocol)
+        for at in (0.4, 1.0):
+            flat = (protocols._OPENING[protocol] @ stack).reshape(len(stack), -1)
+            flat = protocols._run_rows(flat, ham, (), at * wait, None, 0.0, None)
+            flat = flat @ error_operator(name, basis).T
+            flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
+            if at < 1.0:
+                flat = protocols._run_rows(flat, ham, (), wait - at * wait, None, at * wait, None)
+            expected = protocols._CLOSING[protocol] @ flat.reshape(stack.shape)
+            out = protocols._map_rows(stack, params, protocol, basis, None, drive_mode,
+                                      (InjectedError(name, at),))
+            assert out.tobytes() == expected.tobytes()
+
+
 def test_readout_identity_assignment(basis20, even_cat):
     rng = trajectory_rng(3, 1, 0)
     psi = joint_state("g", even_cat)
@@ -897,3 +931,20 @@ def test_round_contexts_hold_no_dense_operator(protocol, drive_mode):
             cache.cache_clear()
     assert kept / unit < 0.25
     assert peak / unit < 0.5
+
+
+def test_injected_errors_hold_no_dense_operator():
+    # In the units above: an injected error gathers through one-slot rows,
+    # where a dense error_operator product would peak at one unit or more.
+    params, basis = SystemParams(), CavityBasis(100)
+    unit = (4 * basis.dim) ** 2 * np.dtype(complex).itemsize
+    psi = random_rows(1, basis.dim, 5).reshape(-1)
+    parity_map(psi, params, "gf", basis)  # builds the cached map context
+    for name in ERROR_NAMES:
+        tracemalloc.start()
+        try:
+            parity_map(psi, params, "gf", basis, injected=(InjectedError(name, 0.5),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / unit < 0.25, name

@@ -4,10 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catsim import analytics, protocols, tomography
 from catsim.dynamics import trajectory_rng
-from catsim.hilbert import CavityBasis, cat_state, fock_state, joint_state, state_fidelity
+from catsim.hilbert import (
+    STATE_ATOL,
+    CavityBasis,
+    cat_state,
+    fock_state,
+    joint_state,
+    state_fidelity,
+)
 from catsim.model import SystemParams
 from catsim.tomography import (
     WignerGrid,
@@ -100,6 +109,13 @@ def test_scan_rejects_invalid_states():
         wigner_scan(2.0 * cat, [0.0])
     with pytest.raises(ValueError, match="non-finite"):
         wigner_scan(np.full(8, np.nan, dtype=complex), [0.0])
+    one_nan = cat.copy()
+    one_nan[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        wigner_scan(one_nan, [0.0])
+    with pytest.raises(ValueError, match="norm"):
+        wigner_scan((1.0 + 2.0 * STATE_ATOL) * cat, [0.0])
+    assert len(wigner_scan((1.0 + 0.5 * STATE_ATOL) * cat, [0.0]).values) == 1
     rho = np.outer(cat, cat.conj())
     with pytest.raises(ValueError, match="trace"):
         wigner_scan(0.5 * rho, [0.0])
@@ -302,17 +318,76 @@ def test_observable_matrix_matches_the_complex_stack(dim):
     assert _observable_matrix(np.zeros(0, dtype=complex), dim).shape == (0, dim * dim)
 
 
-@pytest.mark.filterwarnings("ignore:displacements beyond")
-@pytest.mark.parametrize("dim", [6, 20])
+def full_spectrum_clip(mat):
+    """The projection onto the density matrices as the full spectrum's clip:
+    symmetrize, sort the eigenvalues, shift and clip every one of them."""
+    herm = 0.5 * (mat + mat.conj().T)
+    vals, vecs = np.linalg.eigh(herm)
+    desc = np.sort(vals)[::-1]
+    cumulative = np.cumsum(desc) - 1.0
+    support = desc - cumulative / np.arange(1, len(desc) + 1) > 0
+    k = int(np.nonzero(support)[0][-1]) + 1
+    clipped = np.clip(vals - cumulative[k - 1] / k, 0.0, None)
+    return (vecs * clipped) @ vecs.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["generic", "degenerate", "rank_deficient"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_coordinates_round_trip_and_the_projection_clips_the_spectrum(dim, kind, seed):
+    # Exactly Hermitian inputs, as the fit builds them: generic, with a
+    # repeated eigenvalue, or of rank at most two (the rest of the
+    # spectrum at zero, so the projection's support is that small).
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if kind == "generic":
+        mat = g + g.conj().T
+    else:
+        vecs = np.linalg.qr(g)[0]
+        vals = rng.normal(size=dim)
+        if kind == "degenerate":
+            vals[: (dim + 1) // 2] = vals[0]
+        else:
+            vals[2:] = 0.0
+        mat = (vecs * vals) @ vecs.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+    x = _coordinates(mat)
+    assert np.abs(_from_coordinates(x, dim) - mat).max() <= 1e-14
+    assert np.abs(_coordinates(_from_coordinates(x, dim)) - x).max() <= 1e-14
+    assert np.abs(_project_density(mat) - full_spectrum_clip(mat)).max() <= 1e-14
+
+
+@pytest.mark.filterwarnings("ignore:displacements beyond", "ignore:coherent state truncation")
+@pytest.mark.parametrize("dim", [1, 2, 6, 20, 50])
 def test_wigner_scan_matches_the_stacked_product(dim):
+    # A density matrix is scanned through the observable blocks and a unit
+    # vector in the quadrature eigenbasis; both match the stacked product,
+    # and the vectors also match the explicit observable stack and the
+    # scan of their outer product.  beta = 0 and the negative real axis
+    # are listed again on their own.
     rng = np.random.default_rng(dim)
+    betas = np.concatenate([square_grid(21, 2.5), [0.0, -0.7, -2.0]])
+    matrix = _observable_matrix(betas, dim)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho)
-    betas = square_grid(21, 2.5)
-    stacked = _observable_matrix(betas, dim) @ _coordinates(rho)
+    stacked = matrix @ _coordinates(rho)
     assert np.abs(wigner_scan(rho, betas).values - stacked).max() <= 1e-13
     assert len(wigner_scan(rho, []).values) == 0
+    obs = observable_stack(betas, dim)
+    basis = CavityBasis(dim)
+    random = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for psi in (cat_state(min(ALPHA, 0.5 * math.sqrt(dim)), basis),
+                random / np.linalg.norm(random), fock_state(dim - 1, basis)):
+        rho = np.outer(psi, psi.conj())
+        values = wigner_scan(psi, betas).values
+        assert np.abs(values - matrix @ _coordinates(rho)).max() <= 1e-13
+        assert np.abs(values - np.real(np.einsum("kij,ji->k", obs, rho))).max() <= 1e-13
+        assert np.abs(values - wigner_scan(rho, betas).values).max() <= 1e-13
+    assert len(wigner_scan(psi, []).values) == 0
 
 
 def test_wigner_scan_rejects_non_finite_displacements():
